@@ -9,9 +9,7 @@
 // `--ablate-indexed-queries` reruns with an indexed query path (no
 // per-block event scan — cost proportional only to the returned payload),
 // quantifying how much of the latency the paper's query-cost pathology
-// explains. (A parallel-RPC ablation hook also exists via
-// ExperimentConfig::parallel_rpc_requests, but since Hermes issues its
-// queries serially it changes little on its own.)
+// explains.
 
 #include "common.hpp"
 

@@ -12,13 +12,17 @@
 //                 1-4 hops: each hop appends one full relay cycle, so
 //                 latency must grow ~linearly with hop count
 //   placement     relayer placement/coordination sensitivity on the 2-hop
-//                 line: one relayer per directed edge, a racing pair, a
+//                 line: one relayer per hop, a racing pair per hop, a
 //                 sequence-sharded pair, and a fee-capped fleet whose
 //                 per-hop budget excludes every instance (the route starves
 //                 and nothing is relayed)
 //
 //   --smoke   trimmed grid (N=3 points, 1-2 hops) for the sanitizer CI
 //             phase; self-checks still run.
+//
+// Every point is one run_experiment() over its topology and route, so
+// --trace/--series/--flight apply to the first point (hub3), as in every
+// sweep bench.
 //
 // Self-checks (exit 1 on failure):
 //   * every run is invariant-clean; every non-starved run delivers all
@@ -29,7 +33,6 @@
 //   * the sharded pair actually partitions work (coordination skips > 0)
 
 #include "common.hpp"
-#include "xcc/mesh.hpp"
 #include "xcc/topology.hpp"
 
 namespace {
@@ -38,7 +41,7 @@ struct Point {
   std::string section;
   std::string topo;          // TopologyConfig::from_name() spelling
   std::vector<int> route;
-  int relayers_per_channel = 1;
+  int relayers_per_hop = 1;
   const char* coordination = "none";
   double per_hop_fee_budget = 0;  // 0 = unlimited
 };
@@ -52,27 +55,58 @@ std::string route_label(const std::vector<int>& route) {
   return s;
 }
 
-xcc::MeshExperimentConfig make_config(const Point& p, std::uint64_t transfers) {
-  xcc::MeshExperimentConfig cfg;
+/// Every run submits `transfers` from two accounts, five per transaction,
+/// one transaction in flight per account: rate mode at two transactions per
+/// block for as many blocks as the total needs.
+constexpr int kAccounts = 2;
+constexpr int kMsgsPerTx = 5;
+
+xcc::ExperimentConfig make_config(const Point& p, std::uint64_t transfers) {
+  xcc::ExperimentConfig cfg;
   cfg.testbed.topology = xcc::TopologyConfig::from_name(p.topo).value();
   cfg.testbed.seed = bench::seed_for(0);
   cfg.testbed.machines = 3;
   cfg.testbed.validators_per_chain = 4;
-  cfg.workload.total_transfers = transfers;
-  cfg.workload.msgs_per_tx = 5;
-  cfg.workload.accounts = 2;
+  // Collect violations rather than throwing: the bench reports the count
+  // (and self-checks it is zero).
+  cfg.testbed.invariant_fail_fast = false;
+  const int per_block = kAccounts * kMsgsPerTx;
+  cfg.workload.msgs_per_tx = kMsgsPerTx;
+  cfg.workload.requests_per_second =
+      per_block / sim::to_seconds(cfg.testbed.min_block_interval);
+  cfg.measure_blocks = static_cast<int>(transfers) / per_block;
+  cfg.wait_for_drain = true;
   cfg.route = p.route;
-  cfg.relayers.relayers_per_channel = p.relayers_per_channel;
-  cfg.relayers.coordination.mode =
+  cfg.relayer_count = p.relayers_per_hop;
+  cfg.relayer.coordination.mode =
       relayer::coordination_mode_from_string(p.coordination);
-  cfg.relayers.coordination.shard_width = 4;
-  cfg.relayers.base.per_hop_fee_budget = p.per_hop_fee_budget;
+  cfg.relayer.coordination.shard_width = 4;
+  cfg.relayer.per_hop_fee_budget = p.per_hop_fee_budget;
   cfg.max_sim_time = sim::seconds(4'000);
-  if (p.per_hop_fee_budget > 0) {
-    // The starved route never progresses; stop draining quickly.
-    cfg.drain_no_progress_limit = sim::seconds(60);
-  }
+  // The starved route never progresses; stop draining quickly.
+  cfg.drain_no_progress_limit =
+      sim::seconds(p.per_hop_fee_budget > 0 ? 60 : 180);
   return cfg;
+}
+
+double avg_latency(const xcc::ExperimentResult& r) {
+  const auto& lat = r.delivery_latencies_seconds;
+  if (lat.empty()) return 0.0;
+  double sum = 0;
+  for (double v : lat) sum += v;
+  return sum / static_cast<double>(lat.size());
+}
+
+std::uint64_t routing_skipped(const xcc::ExperimentResult& r) {
+  std::uint64_t n = 0;
+  for (const auto& st : r.relayers) n += st.routing_skipped;
+  return n;
+}
+
+std::uint64_t coordination_skipped(const xcc::ExperimentResult& r) {
+  std::uint64_t n = 0;
+  for (const auto& st : r.relayers) n += st.coordination_skipped;
+  return n;
 }
 
 }  // namespace
@@ -121,14 +155,22 @@ int main(int argc, char** argv) {
   points.push_back({"placement", "line3", {0, 1, 2}, 2, "shard", 0});
   points.push_back({"placement", "line3", {0, 1, 2}, 1, "none", 1.0});
 
-  std::vector<xcc::MeshExperimentResult> results(points.size());
+  std::vector<xcc::ExperimentConfig> configs;
+  for (const Point& p : points) configs.push_back(make_config(p, transfers));
+  bench::apply_trace(opt, configs);
+  // run_scenarios rather than run_sweep: --json then adds no metrics
+  // snapshot, so the report's virtual section stays comparable with the
+  // committed smoke baseline (bench/baselines/BENCH_mesh_routing.json).
+  std::vector<xcc::ExperimentResult> results(configs.size());
   std::vector<std::function<void()>> jobs;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    jobs.push_back([&results, &points, i, transfers]() {
-      results[i] = xcc::run_mesh_experiment(make_config(points[i], transfers));
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    jobs.push_back([&results, &configs, i]() {
+      results[i] = xcc::run_experiment(configs[i]);
     });
   }
   bench::run_scenarios(opt, jobs);
+  bench::keep_series(opt, results);
+  bench::print_trace_summary(opt, results);
 
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (!results[i].ok) {
@@ -145,17 +187,18 @@ int main(int argc, char** argv) {
                      "violations"});
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
-    const xcc::MeshExperimentResult& r = results[i];
+    const xcc::ExperimentResult& r = results[i];
     table.add_row({p.section, p.topo, route_label(p.route),
                    std::to_string(p.route.size() - 1),
-                   std::to_string(p.relayers_per_channel), p.coordination,
-                   std::to_string(r.requested), std::to_string(r.completed),
-                   util::fmt_double(r.tfps, 2),
-                   util::fmt_double(r.avg_latency_seconds, 2),
+                   std::to_string(p.relayers_per_hop), p.coordination,
+                   std::to_string(r.workload.requested),
+                   std::to_string(r.delivery_latencies_seconds.size()),
+                   util::fmt_double(r.delivery_tfps, 2),
+                   util::fmt_double(avg_latency(r), 2),
                    std::to_string(r.packets_forwarded),
                    std::to_string(r.forwards_unwound),
-                   std::to_string(r.routing_skipped),
-                   std::to_string(r.coordination_skipped),
+                   std::to_string(routing_skipped(r)),
+                   std::to_string(coordination_skipped(r)),
                    std::to_string(r.invariant_violations)});
   }
   table.print(std::cout);
@@ -175,14 +218,15 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     const std::string tag = points[i].topo + " " + route_label(points[i].route);
+    const std::uint64_t completed = r.delivery_latencies_seconds.size();
     check(r.invariant_violations == 0, tag + ": invariant violations");
     if (i == starved) {
-      check(r.completed == 0, tag + ": fee-starved route still delivered");
-      check(r.routing_skipped > 0, tag + ": fee cap never skipped a packet");
+      check(completed == 0, tag + ": fee-starved route still delivered");
+      check(routing_skipped(r) > 0, tag + ": fee cap never skipped a packet");
     } else {
-      check(r.completed == r.requested,
-            tag + ": delivered " + std::to_string(r.completed) + " of " +
-                std::to_string(r.requested));
+      check(completed == r.workload.requested,
+            tag + ": delivered " + std::to_string(completed) + " of " +
+                std::to_string(r.workload.requested));
       check(r.forwards_unwound == 0, tag + ": unexpected unwinds");
     }
   }
@@ -191,18 +235,18 @@ int main(int argc, char** argv) {
   // and skipping the intermediary must pay off in latency.
   const auto& hub3 = results[0];
   const auto& mesh3 = results[1];
-  check(hub3.packets_forwarded == hub3.requested,
+  check(hub3.packets_forwarded == hub3.workload.requested,
         "hub3 did not forward every packet");
   check(mesh3.packets_forwarded == 0, "direct mesh3 route forwarded packets");
-  check(mesh3.avg_latency_seconds < hub3.avg_latency_seconds,
+  check(avg_latency(mesh3) < avg_latency(hub3),
         "direct mesh3 latency not below 2-hop hub3 latency");
 
   // Latency vs hop count: strictly increasing and ~linear (every increment
   // within a generous band around the mean increment).
   std::vector<double> lat;
   for (int h = 1; h <= max_hops; ++h) {
-    lat.push_back(results[hops_begin + static_cast<std::size_t>(h - 1)]
-                      .avg_latency_seconds);
+    lat.push_back(
+        avg_latency(results[hops_begin + static_cast<std::size_t>(h - 1)]));
   }
   std::cout << "\nlatency vs hops:";
   for (std::size_t i = 0; i < lat.size(); ++i) {
@@ -227,7 +271,7 @@ int main(int argc, char** argv) {
 
   // The sharded pair must actually partition work across both instances.
   const std::size_t shard_idx = smoke ? place_begin + 1 : place_begin + 2;
-  check(results[shard_idx].coordination_skipped > 0,
+  check(coordination_skipped(results[shard_idx]) > 0,
         "sharded placement never skipped a peer-owned packet");
 
   if (failed) return 1;

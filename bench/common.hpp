@@ -279,6 +279,20 @@ inline void print_trace_summary(const Options& opt,
   std::cout << "\n";
 }
 
+/// Under --json with --series, keeps the first result's sampled series and
+/// watchdog warnings for the report's virtual `series` section.
+inline void keep_series(const Options& opt,
+                        const std::vector<xcc::ExperimentResult>& results) {
+  if (opt.json.empty() || opt.series.empty() ||
+      detail::g_report.have_series || results.empty() ||
+      !results.front().ok) {
+    return;
+  }
+  detail::g_report.series = results.front().series;
+  detail::g_report.warnings = results.front().warnings;
+  detail::g_report.have_series = true;
+}
+
 /// Runs a whole sweep through the parallel pool (submission order ==
 /// result order) and prints the utilisation summary. Honors --trace; under
 /// --json the first experiment also snapshots its metrics registry (pure
@@ -300,13 +314,8 @@ inline std::vector<xcc::ExperimentResult> run_sweep(
       detail::g_report.metrics = results.front().metrics;
       detail::g_report.have_metrics = true;
     }
-    if (!detail::g_report.have_series && !opt.series.empty() &&
-        !results.empty() && results.front().ok) {
-      detail::g_report.series = results.front().series;
-      detail::g_report.warnings = results.front().warnings;
-      detail::g_report.have_series = true;
-    }
   }
+  keep_series(opt, results);
   print_sweep_summary(stats);
   print_trace_summary(opt, results);
   return results;

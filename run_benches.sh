@@ -33,7 +33,8 @@
 #                               multi-hop fuzz sweep under TSan, topology
 #                               fuzzing (line/hub/mesh) on the ASan build,
 #                               and a fresh smoke report bench_compare'd
-#                               against bench/baselines/, and the
+#                               against bench/baselines/, and its
+#                               --series/--trace artifacts, and the
 #                               observability phase: the sampler/watchdog
 #                               suite under TSan with a 4-worker sweep, a
 #                               planted campaign bug auto-dumping a flight
@@ -42,8 +43,11 @@
 #                               virtual.series report section validated by
 #                               bench_report_schema.py, and an
 #                               -DIBC_TELEMETRY=OFF build whose default
-#                               bench CSV stays byte-identical. Ends with a
-#                               phase summary table.
+#                               bench CSV stays byte-identical, and the
+#                               benchmark driver's perfbench_tests (built
+#                               via perfbench/CMakeLists.txt into
+#                               .bench_build). Ends with a phase summary
+#                               table.
 cd "$(dirname "$0")"
 
 if [ "$1" = "--check" ]; then
@@ -316,6 +320,13 @@ EOF
     exit 1
   fi
   [ "$rc" -eq 1 ] && echo "note: host-time noise vs baseline (expected across machines)"
+  # Mesh runs go through the one run driver, so the observability flags
+  # must write their artifacts (the first point is a two-hop route).
+  ./build/bench/bench_mesh_routing --smoke --csv "$xdir/obs.csv" \
+    --series "$xdir/mesh.series.csv" --trace "$xdir/mesh.trace.json" >/dev/null
+  [ -s "$xdir/mesh.series.csv" ] && [ -s "$xdir/mesh.trace.json" ] || {
+    echo "ERROR: bench_mesh_routing --series/--trace wrote no artifacts"; exit 1; }
+  echo "mesh-routing --series and --trace artifacts written"
   rm -rf "$xdir"
   phase_ok
 
@@ -374,6 +385,15 @@ EOF
   diff "$odir/on.csv" "$odir/off.csv"
   echo "default fig8 CSV byte-identical with telemetry compiled out"
   rm -rf "$odir"
+  phase_ok
+
+  phase "benchmark driver: perfbench_tests (adapter equals run_experiment)"
+  # The repo benchmark's own build (perfbench/CMakeLists.txt); its tests
+  # check that the benchmark driver gives the same virtual results as
+  # xcc::run_experiment on every workload, untraced and traced.
+  cmake -S perfbench -B .bench_build -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake --build .bench_build -j --target perfbench_tests
+  ./.bench_build/perfbench_tests
   phase_ok
 
   exit 0

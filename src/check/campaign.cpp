@@ -9,7 +9,7 @@
 #include "ibc/host.hpp"
 #include "ibc/msgs.hpp"
 #include "util/rng.hpp"
-#include "xcc/handshake.hpp"
+#include "xcc/mesh.hpp"
 #include "xcc/testbed.hpp"
 #include "xcc/workload.hpp"
 
@@ -177,28 +177,6 @@ class CampaignRun {
     return *out;
   }
 
-  void start_relayers(int count, const relayer::RelayerConfig& base) {
-    for (int k = 0; k < count; ++k) {
-      const auto machine =
-          static_cast<std::size_t>(k % tb_->config().machines);
-      relayer::ChainHandle ha{tb_->chain_a().servers[machine].get(),
-                              tb_->chain_a().id,
-                              {tb_->relayer_account_a(k)}};
-      relayer::ChainHandle hb{tb_->chain_b().servers[machine].get(),
-                              tb_->chain_b().id,
-                              {tb_->relayer_account_b(k)}};
-      relayer::RelayerConfig rc = base;
-      rc.machine = static_cast<net::MachineId>(machine);
-      relayers_.push_back(std::make_unique<relayer::Relayer>(
-          tb_->scheduler(), ha, hb, channel_.path(), rc, nullptr));
-      // No-op without telemetry; with it the relayer's counters land in the
-      // sampled series and its steps in the flight journal.
-      relayers_.back()->set_telemetry(tb_->hub(),
-                                      "relayer" + std::to_string(k));
-      relayers_.back()->start();
-    }
-  }
-
   std::uint64_t outstanding_commitments() const {
     return tb_->chain_a()
         .app->store()
@@ -293,6 +271,7 @@ CampaignResult CampaignRun::run() {
     cfg.rpc_cost.websocket_max_frame_bytes = 16 * 1024;
   }
   if (opts_.family == "client-expiry") trusting_ = sim::seconds(180);
+  cfg.topology.edges.front().trusting_period = trusting_;
   const bool observability =
       !opts_.flight_dump_path.empty() || opts_.sample_every_blocks > 0;
   cfg.telemetry = cfg.telemetry || observability;
@@ -335,18 +314,12 @@ CampaignResult CampaignRun::run() {
       }
     }
   }
-  tb_->start_chains();
-  if (!tb_->run_until_height(2, sim::seconds(300))) {
-    result_.setup_error = "chains failed to start";
+  xcc::MeshSetupResult mesh = xcc::establish_mesh(*tb_, sim::seconds(900));
+  if (!mesh.ok) {
+    result_.setup_error = mesh.error;
     return result_;
   }
-  xcc::HandshakeDriver handshake(*tb_, /*relayer_wallet=*/0, /*machine=*/0,
-                                 trusting_);
-  channel_ = handshake.establish_channel_blocking(now() + sim::seconds(600));
-  if (!channel_.ok) {
-    result_.setup_error = "channel setup failed: " + channel_.error;
-    return result_;
-  }
+  channel_ = mesh.channels.front();
   result_.setup_ok = true;
 
   if (opts_.mutate_skip_expiry || opts_.mutate_skip_replay) {
@@ -379,7 +352,11 @@ CampaignResult CampaignRun::run() {
       opts_.family == "frame-storm") {
     rc.startup_rescan = true;
   }
-  start_relayers(n_relayers, rc);
+  // The fleet registers each relayer with the hub: a no-op without
+  // telemetry; with it the relayers' counters land in the sampled series
+  // and their steps in the flight journal.
+  relayers_ = xcc::start_relayer_fleet(*tb_, {channel_}, n_relayers, rc,
+                                       nullptr);
 
   // Steady cross-chain traffic covering the whole horizon. Rate mode's
   // emergent pace is accounts * msgs_per_tx per block (wait-for-commit), so

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/rng.hpp"
-#include "xcc/handshake.hpp"
 #include "xcc/mesh.hpp"
 #include "xcc/testbed.hpp"
 #include "xcc/topology.hpp"
@@ -41,119 +40,6 @@ std::vector<int> scenario_route(const xcc::TopologyConfig& topo) {
   return {0, 1};
 }
 
-/// Scenario path for non-"pair" topologies: same seed-derived faults and
-/// workload shape, but a relayer fleet per directed edge and a forwarded
-/// multi-hop workload under the topology-aware invariant checker.
-ScenarioResult run_mesh_scenario(const ScenarioOptions& options,
-                                 ScenarioResult result,
-                                 xcc::TestbedConfig tb_cfg,
-                                 const xcc::WorkloadConfig& wl_cfg,
-                                 const net::FaultProfile& faults, int relayers,
-                                 bool restart_relayer, bool validator_blip,
-                                 std::int64_t clear_interval, util::Rng& rng) {
-  auto topo = xcc::TopologyConfig::from_name(options.topology);
-  if (!topo.is_ok()) {
-    result.setup_error = topo.status().to_string();
-    return result;
-  }
-  tb_cfg.topology = topo.value();
-  tb_cfg.fund_users_on_all_chains = true;  // routes may originate off chain 0
-  const int edges = static_cast<int>(tb_cfg.topology.edges.size());
-  tb_cfg.relayer_wallets = 2 * edges * relayers;
-  const std::vector<int> route = scenario_route(tb_cfg.topology);
-
-  result.summary += " topo=" + options.topology +
-                    " hops=" + std::to_string(route.size() - 1);
-
-  xcc::Testbed tb(tb_cfg);
-  tb.start_chains();
-  if (!tb.run_until_height(2, sim::seconds(300))) {
-    result.setup_error = "chains failed to start";
-    return result;
-  }
-  xcc::MeshSetupResult mesh = xcc::establish_mesh(
-      tb, tb.scheduler().now() + sim::seconds(600) * edges);
-  if (!mesh.ok) {
-    result.setup_error = mesh.error;
-    return result;
-  }
-  result.setup_ok = true;
-
-  if (options.mutate_skip_replay) {
-    for (int i = 0; i < tb.chain_count(); ++i) {
-      tb.chain(i).ibc->set_faults(ibc::KeeperFaults{true});
-    }
-  }
-
-  xcc::MeshRelayerOptions ro;
-  ro.relayers_per_channel = relayers;
-  ro.coordination.mode =
-      relayer::coordination_mode_from_string(options.coordination);
-  ro.base.clear_interval = clear_interval;
-  ro.route = route;
-  xcc::MeshRelayerFleet fleet =
-      xcc::deploy_mesh_relayers(tb, mesh, nullptr, ro);
-  fleet.start();
-
-  const sim::TimePoint t0 = tb.scheduler().now();
-  tb.network().set_fault_profile(faults);
-  if (restart_relayer) {
-    relayer::Relayer* victim = fleet.relayers[0].get();
-    const sim::TimePoint down = t0 + sim::seconds(10 + rng.next_below(50));
-    const sim::TimePoint up = down + sim::seconds(5 + rng.next_below(40));
-    tb.scheduler().schedule_at(down, [victim] { victim->stop(); });
-    tb.scheduler().schedule_at(up, [victim] { victim->start(); });
-  }
-  if (validator_blip) {
-    consensus::Engine* engine =
-        tb.chain(static_cast<int>(
-                     rng.next_below(static_cast<std::uint64_t>(
-                         tb.chain_count()))))
-            .engine.get();
-    const std::size_t idx =
-        1 + rng.next_below(
-                static_cast<std::uint64_t>(tb_cfg.validators_per_chain - 1));
-    const sim::TimePoint down = t0 + sim::seconds(10 + rng.next_below(60));
-    const sim::TimePoint up = down + sim::seconds(10 + rng.next_below(40));
-    tb.scheduler().schedule_at(
-        down, [engine, idx] { engine->set_validator_live(idx, false); });
-    tb.scheduler().schedule_at(
-        up, [engine, idx] { engine->set_validator_live(idx, true); });
-  }
-
-  xcc::MeshWorkloadConfig mw_cfg;
-  mw_cfg.total_transfers = wl_cfg.total_transfers;
-  mw_cfg.msgs_per_tx = wl_cfg.msgs_per_tx;
-  mw_cfg.accounts = 4;
-  mw_cfg.transfer_amount = wl_cfg.transfer_amount;
-  mw_cfg.timeout_height_offset = wl_cfg.timeout_height_offset;
-  xcc::MeshWorkload workload(tb, mesh, route, mw_cfg, nullptr);
-  if (!workload.init_status().is_ok()) {
-    result.setup_ok = false;
-    result.setup_error = workload.init_status().to_string();
-    return result;
-  }
-  workload.start();
-  tb.run_until(t0 + sim::seconds(400));
-
-  tb.network().set_fault_profile(net::FaultProfile{});
-  tb.run_until(tb.scheduler().now() + sim::seconds(100));
-
-  fleet.stop();
-
-  result.blocks_checked = tb.checker()->blocks_checked();
-  result.transfers_requested = workload.requested();
-  for (int i = 0; i < tb.chain_count(); ++i) {
-    result.packets_received += tb.chain(i).ibc->packets_received();
-    result.packets_timed_out += tb.chain(i).ibc->packets_timed_out();
-    result.redundant_messages += tb.chain(i).ibc->redundant_messages();
-  }
-  result.messages_dropped = tb.network().messages_dropped();
-  result.messages_duplicated = tb.network().messages_duplicated();
-  result.violations = tb.checker()->violations();
-  return result;
-}
-
 }  // namespace
 
 ScenarioResult run_scenario(std::uint64_t seed,
@@ -186,7 +72,6 @@ ScenarioResult run_scenario(std::uint64_t seed,
   // reachable through redundant deliveries.
   const int relayers =
       options.mutate_skip_replay ? 2 : (rng.chance(0.5) ? 2 : 1);
-  tb_cfg.relayer_wallets = relayers;
 
   xcc::WorkloadConfig wl_cfg;
   wl_cfg.total_transfers = 10 + rng.next_below(50);
@@ -220,55 +105,53 @@ ScenarioResult run_scenario(std::uint64_t seed,
       (validator_blip ? " validator-blip" : "") +
       (options.mutate_skip_replay ? " MUTATED" : "");
 
+  auto topo = xcc::TopologyConfig::from_name(options.topology);
+  if (!topo.is_ok()) {
+    result.setup_error = topo.status().to_string();
+    return result;
+  }
+  tb_cfg.topology = topo.value();
+  const std::vector<int> route = scenario_route(tb_cfg.topology);
+  const int hops = static_cast<int>(route.size()) - 1;
+  tb_cfg.relayer_wallets = hops * relayers;
+  // Routes may originate off chain 0, where the senders are not funded.
+  tb_cfg.fund_users_on_all_chains = route.front() != 0;
   if (options.topology != "pair") {
-    return run_mesh_scenario(options, std::move(result), tb_cfg, wl_cfg,
-                             faults, relayers, restart_relayer,
-                             validator_blip, clear_interval, rng);
+    result.summary += " topo=" + options.topology +
+                      " hops=" + std::to_string(hops);
   }
 
-  // --- Deploy and establish the channel (fault-free: setup is not the
+  // --- Deploy and establish the channels (fault-free: setup is not the
   // subject under test, and a wedged handshake would just time out). -------
   xcc::Testbed tb(tb_cfg);
-  tb.start_chains();
-  if (!tb.run_until_height(2, sim::seconds(300))) {
-    result.setup_error = "chains failed to start";
+  const int edges = static_cast<int>(tb_cfg.topology.edges.size());
+  const xcc::MeshSetupResult mesh = xcc::establish_mesh(
+      tb, sim::seconds(300) + sim::seconds(600) * edges);
+  if (!mesh.ok) {
+    result.setup_error = mesh.error;
     return result;
   }
-  xcc::HandshakeDriver handshake(tb, /*relayer_wallet=*/0, /*machine=*/0);
-  xcc::ChannelSetupResult channel = handshake.establish_channel_blocking(
-      tb.scheduler().now() + sim::seconds(600));
-  if (!channel.ok) {
-    result.setup_error = "channel setup failed: " + channel.error;
+  auto route_hops = xcc::route_hops(mesh, tb_cfg.topology, route);
+  if (!route_hops.is_ok()) {
+    result.setup_error = route_hops.status().to_string();
     return result;
   }
+  const std::vector<xcc::ChannelSetupResult>& channels = route_hops.value();
   result.setup_ok = true;
 
   if (options.mutate_skip_replay) {
-    tb.chain_a().ibc->set_faults(ibc::KeeperFaults{true});
-    tb.chain_b().ibc->set_faults(ibc::KeeperFaults{true});
+    for (int i = 0; i < tb.chain_count(); ++i) {
+      tb.chain(i).ibc->set_faults(ibc::KeeperFaults{true});
+    }
   }
 
-  // --- Relayers (one per machine, as in the paper's deployment). ----------
-  std::vector<std::unique_ptr<relayer::Relayer>> relayer_instances;
-  for (int k = 0; k < relayers; ++k) {
-    const auto machine = static_cast<std::size_t>(k % tb_cfg.machines);
-    relayer::ChainHandle ha{tb.chain_a().servers[machine].get(),
-                            tb.chain_a().id,
-                            {tb.relayer_account_a(k)}};
-    relayer::ChainHandle hb{tb.chain_b().servers[machine].get(),
-                            tb.chain_b().id,
-                            {tb.relayer_account_b(k)}};
-    relayer::RelayerConfig rc;
-    rc.machine = static_cast<net::MachineId>(machine);
-    rc.clear_interval = clear_interval;
-    rc.coordination.mode =
-        relayer::coordination_mode_from_string(options.coordination);
-    rc.coordination.relayer_index = k;
-    rc.coordination.relayer_count = relayers;
-    relayer_instances.push_back(std::make_unique<relayer::Relayer>(
-        tb.scheduler(), ha, hb, channel.path(), rc, nullptr));
-    relayer_instances.back()->start();
-  }
+  // --- Relayers (per hop, one per machine as in the paper's deployment). --
+  relayer::RelayerConfig rc;
+  rc.clear_interval = clear_interval;
+  rc.coordination.mode =
+      relayer::coordination_mode_from_string(options.coordination);
+  std::vector<std::unique_ptr<relayer::Relayer>> relayer_instances =
+      xcc::start_relayer_fleet(tb, channels, relayers, rc, nullptr);
 
   // --- Fault schedule ------------------------------------------------------
   const sim::TimePoint t0 = tb.scheduler().now();
@@ -282,8 +165,13 @@ ScenarioResult run_scenario(std::uint64_t seed,
     tb.scheduler().schedule_at(up, [victim] { victim->start(); });
   }
   if (validator_blip) {
-    consensus::Engine* engine =
-        rng.chance(0.5) ? tb.chain_a().engine.get() : tb.chain_b().engine.get();
+    // Pairs keep the historical coin flip, so their seeds map unchanged.
+    const int victim_chain =
+        tb.chain_count() == 2
+            ? (rng.chance(0.5) ? 0 : 1)
+            : static_cast<int>(rng.next_below(
+                  static_cast<std::uint64_t>(tb.chain_count())));
+    consensus::Engine* engine = tb.chain(victim_chain).engine.get();
     const std::size_t idx =
         1 + rng.next_below(
                 static_cast<std::uint64_t>(tb_cfg.validators_per_chain - 1));
@@ -300,7 +188,12 @@ ScenarioResult run_scenario(std::uint64_t seed,
   }
 
   // --- Workload + run ------------------------------------------------------
-  xcc::TransferWorkload workload(tb, channel, wl_cfg, nullptr);
+  std::vector<ibc::ChannelId> onward;
+  for (std::size_t h = 1; h < channels.size(); ++h) {
+    onward.push_back(channels[h].channel_a);
+  }
+  xcc::TransferWorkload workload(tb, channels.front(), wl_cfg, nullptr,
+                                 std::move(onward));
   workload.start();
   tb.run_until(t0 + sim::seconds(400));
 
@@ -313,10 +206,11 @@ ScenarioResult run_scenario(std::uint64_t seed,
 
   result.blocks_checked = tb.checker()->blocks_checked();
   result.transfers_requested = workload.stats().requested;
-  result.packets_received = tb.chain_b().ibc->packets_received();
-  result.packets_timed_out = tb.chain_a().ibc->packets_timed_out();
-  result.redundant_messages = tb.chain_a().ibc->redundant_messages() +
-                              tb.chain_b().ibc->redundant_messages();
+  for (int i = 0; i < tb.chain_count(); ++i) {
+    result.packets_received += tb.chain(i).ibc->packets_received();
+    result.packets_timed_out += tb.chain(i).ibc->packets_timed_out();
+    result.redundant_messages += tb.chain(i).ibc->redundant_messages();
+  }
   result.messages_dropped = tb.network().messages_dropped();
   result.messages_duplicated = tb.network().messages_duplicated();
   result.violations = tb.checker()->violations();

@@ -33,9 +33,9 @@ struct ScenarioOptions {
   std::string coordination = "none";
   /// Connection-graph topology ("pair" | "line<k>" | "hub<k>" | "mesh<k>").
   /// "pair" keeps the historical seed→scenario mapping byte-identical; any
-  /// other value runs the multi-hop mesh scenario path: a relayer fleet per
-  /// directed edge and a forwarded workload along the topology's longest
-  /// route, still under the same seed-derived fault schedule.
+  /// other value runs the same scenario over a multi-hop route of that
+  /// topology (see scenario_route): the relayers on every hop and the burst
+  /// workload forwarded along it, under the same seed-derived faults.
   std::string topology = "pair";
 };
 

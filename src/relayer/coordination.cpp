@@ -20,20 +20,11 @@ const char* coordination_mode_name(CoordinationMode mode) {
   return "none";
 }
 
-bool CoordinationPolicy::owns(const ibc::ChannelId& channel,
-                              ibc::Sequence seq,
+bool CoordinationPolicy::owns(ibc::Sequence seq,
                               chain::Height src_height) const {
-  if (config_.mode == CoordinationMode::kNone) return true;
-  int eff_index = config_.relayer_index;
-  int eff_count = config_.relayer_count;
-  const auto it = config_.per_channel.find(channel);
-  if (it != config_.per_channel.end()) {
-    eff_index = it->second.index;
-    eff_count = it->second.count;
-  }
-  if (eff_count <= 1) return true;  // sole server of this channel owns all
-  const auto count = static_cast<std::uint64_t>(eff_count);
-  const auto index = static_cast<std::uint64_t>(eff_index);
+  if (!enabled()) return true;  // racing fleet, or a sole server owns all
+  const auto count = static_cast<std::uint64_t>(config_.relayer_count);
+  const auto index = static_cast<std::uint64_t>(config_.relayer_index);
   switch (config_.mode) {
     case CoordinationMode::kShardSequences: {
       // Sequences start at 1; shard 0 is [1, shard_width].

@@ -29,7 +29,6 @@
 // mid-flight.
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 #include "chain/types.hpp"
@@ -47,26 +46,12 @@ enum class CoordinationMode : std::uint8_t {
 CoordinationMode coordination_mode_from_string(const std::string& s);
 const char* coordination_mode_name(CoordinationMode mode);
 
-/// This instance's position among the relayers serving one channel. In a
-/// mesh deployment each relayer serves a subset of channels, and the fleet
-/// size differs per channel — ownership computed from the *global* fleet
-/// index would assign sequence bands to instances that never see the
-/// channel, stranding those packets forever.
-struct ChannelAssignment {
-  int index = 0;
-  int count = 1;
-};
-
 struct CoordinationConfig {
   CoordinationMode mode = CoordinationMode::kNone;
-  /// This instance's position in the fleet, assigned by the deployment
-  /// (experiment runner): 0 <= relayer_index < relayer_count.
+  /// This instance's position among the relayers serving its channel,
+  /// assigned by the fleet builder: 0 <= relayer_index < relayer_count.
   int relayer_index = 0;
   int relayer_count = 1;
-  /// Per-channel overrides of (relayer_index, relayer_count), keyed by
-  /// source channel id. Channels without an entry fall back to the global
-  /// pair above (the PR 8 single-channel behaviour).
-  std::map<ibc::ChannelId, ChannelAssignment> per_channel;
   /// kShardSequences: consecutive sequences per shard. Small enough that a
   /// steady workload keeps every instance busy, large enough that one
   /// relay batch usually stays within a single owner's shard.
@@ -88,20 +73,12 @@ class CoordinationPolicy {
            config_.relayer_count > 1;
   }
 
-  /// Does this instance own packet `seq` of `channel`, first seen at
-  /// source-chain height `src_height`? Always true when coordination is off
-  /// or the channel's effective fleet has one member. `src_height` only
-  /// matters for kLeaderLease (the lease epoch); callers that adopt packets
-  /// outside a frame context pass their latest observed source height.
-  /// Ownership is recomputed per (channel, sequence): the channel picks the
-  /// (index, count) pair, the sequence picks the shard.
-  bool owns(const ibc::ChannelId& channel, ibc::Sequence seq,
-            chain::Height src_height) const;
-
-  /// Single-channel legacy form: global (relayer_index, relayer_count).
-  bool owns(ibc::Sequence seq, chain::Height src_height) const {
-    return owns(ibc::ChannelId{}, seq, src_height);
-  }
+  /// Does this instance own packet `seq`, first seen at source-chain height
+  /// `src_height`? Always true when coordination is off or the fleet has one
+  /// member. `src_height` only matters for kLeaderLease (the lease epoch);
+  /// callers that adopt packets outside a frame context pass their latest
+  /// observed source height.
+  bool owns(ibc::Sequence seq, chain::Height src_height) const;
 
  private:
   CoordinationConfig config_;

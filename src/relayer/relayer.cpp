@@ -22,8 +22,6 @@ Relayer::Relayer(sim::Scheduler& sched, ChainHandle a, ChainHandle b,
       step_log_(step_log),
       cache_(sched, config_.query_cache),
       coordination_(config_.coordination) {
-  serves_path_ = config_.served_channels.empty() ||
-                 config_.served_channels.count(path_.channel_a) > 0;
   fee_ok_ = config_.per_hop_fee_budget <= 0 ||
             static_cast<double>(estimate_gas(1, 1, gas_.recv_packet)) *
                     config_.gas_price <=
@@ -267,7 +265,7 @@ void Relayer::on_frame_a(const rpc::NewBlockFrame& frame) {
         if (routing_skipped_ctr_) routing_skipped_ctr_->add();
         continue;
       }
-      if (!coordination_.owns(path_.channel_a, seq, frame.height)) {
+      if (!coordination_.owns(seq, frame.height)) {
         // A coordinated peer owns this packet; never enter it in the table
         // so no lane (pull, recv, ack, timeout, retry) ever touches it.
         ++stats_.coordination_skipped;
@@ -1352,8 +1350,7 @@ void Relayer::run_clear(ClearOp op, std::function<void()> done) {
               if (routing_skipped_ctr_) routing_skipped_ctr_->add();
               continue;
             }
-            if (!coordination_.owns(path_.channel_a, seq,
-                                    last_seen_a_height_)) {
+            if (!coordination_.owns(seq, last_seen_a_height_)) {
               ++stats_.coordination_skipped;
               if (coordination_skipped_ctr_) coordination_skipped_ctr_->add();
               continue;
@@ -1505,8 +1502,7 @@ void Relayer::run_ack_scan(ClearOp op, std::function<void()> done) {
               continue;
             }
             if (!packets_.contains(seq) &&
-                !coordination_.owns(path_.channel_a, seq,
-                                    last_seen_a_height_)) {
+                !coordination_.owns(seq, last_seen_a_height_)) {
               // An unowned, unseen packet is a peer's to acknowledge.
               ++stats_.coordination_skipped;
               if (coordination_skipped_ctr_) coordination_skipped_ctr_->add();

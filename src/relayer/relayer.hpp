@@ -113,10 +113,6 @@ struct RelayerConfig {
   /// partitions packet ownership across relayer instances. kNone by default
   /// — ICS-18 relayers race, exactly as the paper measured.
   CoordinationConfig coordination;
-  /// Mesh routing/placement policy: source-channel ids (on chain A) this
-  /// instance relays packets for. Empty = serve every channel on the path
-  /// (the single-channel behaviour).
-  std::set<ibc::ChannelId> served_channels;
   /// Maximum fee (gas * gas_price) this instance will pay for a single
   /// recv-packet message; 0 = unlimited. A hop whose estimated relay fee
   /// exceeds the budget is left for better-funded instances.
@@ -320,10 +316,10 @@ class Relayer {
   void record(Step step, ibc::Sequence seq);
   void check_timeouts();
 
-  /// Routing policy gate: does this instance relay packets of its path's
-  /// source channel at all (served_channels membership + per-hop fee
-  /// budget)? Computed once at construction; checked before coordination.
-  bool relays_packets() const { return serves_path_ && fee_ok_; }
+  /// Routing policy gate: is the hop's estimated relay fee within this
+  /// instance's per-hop budget? Computed once at construction; checked
+  /// before coordination.
+  bool relays_packets() const { return fee_ok_; }
 
   /// Clears a self-referential step closure once its chain has finished
   /// (deferred one tick so the currently-executing function is not destroyed
@@ -383,7 +379,6 @@ class Relayer {
   std::uint64_t lane_epoch_ = 0;
   bool running_ = false;
   CoordinationPolicy coordination_;
-  bool serves_path_ = true;  // path_.channel_a in served_channels (or empty)
   bool fee_ok_ = true;       // estimated recv fee within per_hop_fee_budget
   rpc::Server::SubscriptionId sub_a_ = 0;
   rpc::Server::SubscriptionId sub_b_ = 0;

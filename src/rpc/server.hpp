@@ -87,9 +87,6 @@ class Server {
   void set_query_workers(std::size_t n) { queue_.set_servers(n); }
   std::size_t query_workers() const { return queue_.servers(); }
 
-  /// Back-compat alias used by the parallel-RPC ablation.
-  void set_parallel_requests(std::size_t n) { set_query_workers(n); }
-
   /// Per-worker utilisation (completed jobs + busy time) for worker `w` in
   /// [0, query_workers()).
   sim::ServiceQueue::WorkerStats worker_stats(std::size_t w) const {

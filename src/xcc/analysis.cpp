@@ -10,8 +10,8 @@ CompletionBreakdown Analyzer::completion_breakdown(
   CompletionBreakdown out;
   out.requested = requested;
 
-  const chain::KvStore& store_a = testbed_.chain_a().app->store();
-  const chain::KvStore& store_b = testbed_.chain_b().app->store();
+  const chain::KvStore& store_a = testbed_.chain(channel_.chain_x).app->store();
+  const chain::KvStore& store_b = testbed_.chain(channel_.chain_y).app->store();
 
   // Highest sequence ever assigned on the channel.
   const auto next_send_raw = store_a.get(
@@ -46,7 +46,7 @@ CompletionBreakdown Analyzer::completion_breakdown(
 
 std::uint64_t Analyzer::included_transfers(chain::Height h_begin,
                                            chain::Height h_end) const {
-  const chain::Ledger& ledger = *testbed_.chain_a().ledger;
+  const chain::Ledger& ledger = *testbed_.chain(channel_.chain_x).ledger;
   std::uint64_t count = 0;
   for (chain::Height h = h_begin + 1; h <= std::min(h_end, ledger.height());
        ++h) {
@@ -65,7 +65,7 @@ std::uint64_t Analyzer::included_transfers(chain::Height h_begin,
 
 std::vector<double> Analyzer::block_intervals(chain::Height h_begin,
                                               chain::Height h_end) const {
-  const chain::Ledger& ledger = *testbed_.chain_a().ledger;
+  const chain::Ledger& ledger = *testbed_.chain(channel_.chain_x).ledger;
   std::vector<double> out;
   for (chain::Height h = std::max<chain::Height>(h_begin + 1, 2);
        h <= std::min(h_end, ledger.height()); ++h) {
@@ -80,7 +80,7 @@ std::vector<double> Analyzer::block_intervals(chain::Height h_begin,
 
 double Analyzer::window_seconds(chain::Height h_begin,
                                 chain::Height h_end) const {
-  const chain::Ledger& ledger = *testbed_.chain_a().ledger;
+  const chain::Ledger& ledger = *testbed_.chain(channel_.chain_x).ledger;
   const chain::Block* b0 = ledger.block_at(std::max<chain::Height>(h_begin, 1));
   const chain::Block* b1 = ledger.block_at(std::min(h_end, ledger.height()));
   if (!b0 || !b1) return 0.0;

@@ -1,10 +1,13 @@
 #include "xcc/experiment.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <memory>
 
 #include "ibc/host.hpp"
+#include "util/bytes.hpp"
+#include "xcc/mesh.hpp"
 
 namespace xcc {
 
@@ -50,8 +53,18 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   tb_cfg.user_accounts = std::max(
       tb_cfg.user_accounts,
       accounts_needed(config.workload, tb_cfg.min_block_interval) + 4);
-  tb_cfg.relayer_wallets = std::max(tb_cfg.relayer_wallets,
-                                    std::max(config.relayer_count, 1));
+  const int hop_count =
+      std::max(static_cast<int>(config.route.size()) - 1, 1);
+  tb_cfg.relayer_wallets = std::max(
+      tb_cfg.relayer_wallets, std::max(hop_count * config.relayer_count, 1));
+  if (config.workload.open_loop && config.route.size() > 2) {
+    result.error = "open-loop workloads run on one-hop routes only";
+    return result;
+  }
+  if (!config.route.empty() && config.route.front() != 0) {
+    // User accounts are funded on chain 0 unless told otherwise.
+    tb_cfg.fund_users_on_all_chains = true;
+  }
 
   Testbed tb(tb_cfg);
   // Arm the flight recorder before anything runs so handshake-era events are
@@ -60,53 +73,30 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     tb.hub()->flight().arm(config.flight_capacity);
     tb.hub()->set_flight_dump_path(config.flight_dump_path);
   }
-  if (config.parallel_rpc_requests > 1) {
-    for (auto& s : tb.chain_a().servers) {
-      s->set_parallel_requests(config.parallel_rpc_requests);
-    }
-    for (auto& s : tb.chain_b().servers) {
-      s->set_parallel_requests(config.parallel_rpc_requests);
-    }
-  }
-  tb.start_chains();
   const sim::TimePoint hard_limit = config.max_sim_time;
-  if (!tb.run_until_height(2, hard_limit)) {
-    result.error = "chains failed to start";
+  const MeshSetupResult mesh = establish_mesh(tb, hard_limit);
+  if (!mesh.ok) {
+    result.error = mesh.error;
     return result;
   }
-
-  HandshakeDriver handshake(tb, /*relayer_wallet=*/0, /*machine=*/0);
-  ChannelSetupResult channel = handshake.establish_channel_blocking(hard_limit);
-  if (!channel.ok) {
-    result.error = "channel setup failed: " + channel.error;
+  auto route = route_hops(mesh, tb_cfg.topology, config.route);
+  if (!route.is_ok()) {
+    result.error = route.status().to_string();
     return result;
   }
+  const std::vector<ChannelSetupResult>& hops = route.value();
+  const ChannelSetupResult& channel = hops.front();
+  ChainDeployment& src = tb.chain(config.route.front());
+  ChainDeployment& dst = tb.chain(config.route.back());
 
   // --- Relayers -------------------------------------------------------------
   relayer::StepLog steps;
   steps.set_tracer(telemetry::tracer(tb.hub()));
-  std::vector<std::unique_ptr<relayer::Relayer>> relayers;
-  for (int k = 0; k < config.relayer_count; ++k) {
-    // Relayer k is colocated with machine k and uses that machine's full
-    // nodes — the paper's deployment (one relayer instance per machine).
-    const auto machine = static_cast<std::size_t>(k % tb_cfg.machines);
-    relayer::ChainHandle ha{tb.chain_a().servers[machine].get(), tb.chain_a().id,
-                            {tb.relayer_account_a(k)}};
-    relayer::ChainHandle hb{tb.chain_b().servers[machine].get(), tb.chain_b().id,
-                            {tb.relayer_account_b(k)}};
-    relayer::RelayerConfig rc = config.relayer;
-    rc.machine = static_cast<net::MachineId>(machine);
-    // Fleet position for the coordination policy (inert under kNone).
-    rc.coordination.relayer_index = k;
-    rc.coordination.relayer_count = config.relayer_count;
-    // Only the first relayer feeds the step log (Fig. 12's per-step series
-    // is a single-relayer analysis).
-    relayer::StepLog* log = (k == 0 && collect_steps) ? &steps : nullptr;
-    relayers.push_back(std::make_unique<relayer::Relayer>(
-        tb.scheduler(), ha, hb, channel.path(), rc, log));
-    relayers.back()->set_telemetry(tb.hub(), "relayer" + std::to_string(k));
-    relayers.back()->start();
-  }
+  // The first instance on each hop feeds the step log (Fig. 12's per-step
+  // series is a single-relayer analysis).
+  std::vector<std::unique_ptr<relayer::Relayer>> relayers =
+      start_relayer_fleet(tb, hops, config.relayer_count, config.relayer,
+                          collect_steps ? &steps : nullptr);
 
   // --- Observability: sampler probes, watchdogs, sampling tick --------------
   // (see DESIGN.md §4j). Everything below folds away in disabled builds:
@@ -116,7 +106,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   auto tick = std::make_shared<std::function<void()>>();
   if (smp != nullptr) {
     for (int side = 0; side < 2; ++side) {
-      ChainDeployment& cd = side == 0 ? tb.chain_a() : tb.chain_b();
+      ChainDeployment& cd = side == 0 ? src : dst;
       const std::string tag = side == 0 ? "src" : "dst";
       // Aggregate RPC backlog across the chain's full nodes, plus the
       // per-worker busy split on the machine-0 endpoint (the one the
@@ -143,8 +133,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     // moves when every relayer ignores the channel (fee-starved fleets).
     {
       const ibc::PortId port = channel.path().port;
-      const ibc::ChannelId chan_a = channel.path().channel_a;
-      const cosmos::CosmosApp* app_a = tb.chain_a().app.get();
+      const ibc::ChannelId chan_a = channel.channel_a;
+      const cosmos::CosmosApp* app_a = src.app.get();
       smp->add_probe(
           "probe.src.outstanding_commitments", [app_a, port, chan_a] {
             return static_cast<double>(
@@ -236,6 +226,30 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     (*tick)();  // row 0: state right after setup, before the workload
   }
 
+  // --- Delivery observer ----------------------------------------------------
+  // The route's last chain delivers to the final receivers ("recv-<sender>";
+  // a forwarding hop delivers to the middleware's agent instead). Delivery
+  // times are matched against the step log's broadcast times after the run,
+  // so the observer only runs when steps are collected.
+  auto deliveries = std::make_shared<std::vector<sim::TimePoint>>();
+  if (collect_steps) {
+    sim::Scheduler* sched = &tb.scheduler();
+    dst.engine->subscribe_block(
+        [sched, deliveries](const chain::Block&,
+                            const std::vector<chain::DeliverTxResult>& txs) {
+          for (const chain::DeliverTxResult& tx : txs) {
+            if (!tx.status.is_ok()) continue;
+            for (const chain::Event& ev : tx.events) {
+              if (ev.type == "fungible_token_packet" &&
+                  ev.attribute("success") == "true" &&
+                  ev.attribute("receiver").rfind("recv-", 0) == 0) {
+                deliveries->push_back(sched->now());
+              }
+            }
+          }
+        });
+  }
+
   // --- Benchmark -------------------------------------------------------------
   WorkloadConfig wl_cfg = config.workload;
   if (wl_cfg.total_transfers == 0) {
@@ -250,8 +264,13 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   if (wl_cfg.open_loop) {
     open = std::make_unique<OpenLoopWorkload>(tb, channel, wl_cfg);
   } else {
+    std::vector<ibc::ChannelId> onward;
+    for (std::size_t h = 1; h < hops.size(); ++h) {
+      onward.push_back(hops[h].channel_a);
+    }
     closed = std::make_unique<TransferWorkload>(
-        tb, channel, wl_cfg, collect_steps ? &steps : nullptr);
+        tb, channel, wl_cfg, collect_steps ? &steps : nullptr,
+        std::move(onward));
   }
   const auto wl_finished = [&]() {
     return open ? open->finished() : closed->finished();
@@ -259,7 +278,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   const auto wl_stats = [&]() -> const TransferWorkload::Stats& {
     return open ? open->stats() : closed->stats();
   };
-  const chain::Height start_height = tb.chain_a().ledger->height();
+  const chain::Height start_height = src.ledger->height();
   if (open) {
     open->start();
   } else {
@@ -276,7 +295,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   result.window_breakdown =
       analyzer.completion_breakdown(wl_stats().requested);
   result.window_seconds = analyzer.window_seconds(
-      start_height, std::min(window_end, tb.chain_a().ledger->height()));
+      start_height, std::min(window_end, src.ledger->height()));
   if (result.window_seconds > 0) {
     result.tfps = static_cast<double>(result.window_breakdown.completed) /
                   result.window_seconds;
@@ -292,7 +311,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     result.avg_block_interval =
         sum / static_cast<double>(result.block_intervals.size());
   }
-  result.empty_blocks = tb.chain_a().engine->empty_blocks();
+  result.empty_blocks = src.engine->empty_blocks();
 
   if (config.wait_for_workload) {
     while (!wl_finished() && tb.scheduler().now() < hard_limit) {
@@ -361,10 +380,44 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     result.completion_latency_seconds = last_ack - broadcasts.front();
   }
 
-  result.rpc_busy_seconds_a =
-      sim::to_seconds(tb.chain_a().servers[0]->busy_time());
-  result.rpc_busy_seconds_b =
-      sim::to_seconds(tb.chain_b().servers[0]->busy_time());
+  result.rpc_busy_seconds_a = sim::to_seconds(src.servers[0]->busy_time());
+  result.rpc_busy_seconds_b = sim::to_seconds(dst.servers[0]->busy_time());
+
+  // Deliveries pair FIFO with the broadcast times: transfers are
+  // homogeneous, so the latency distribution is exact even where
+  // submission order and delivery order differ across accounts.
+  std::vector<sim::TimePoint> broadcast_times;
+  for (const relayer::StepRecord& rec : result.steps.records()) {
+    if (rec.step == relayer::Step::kTransferBroadcast) {
+      broadcast_times.push_back(rec.time);
+    }
+  }
+  std::sort(broadcast_times.begin(), broadcast_times.end());
+  const std::size_t matched =
+      std::min(deliveries->size(), broadcast_times.size());
+  for (std::size_t i = 0; i < matched; ++i) {
+    result.delivery_latencies_seconds.push_back(
+        sim::to_seconds((*deliveries)[i] - broadcast_times[i]));
+  }
+  if (matched > 0 && (*deliveries)[matched - 1] > broadcast_times.front()) {
+    result.delivery_tfps =
+        static_cast<double>(matched) /
+        sim::to_seconds((*deliveries)[matched - 1] - broadcast_times.front());
+  }
+  for (int i = 0; i < tb.chain_count(); ++i) {
+    if (const ibc::ForwardMiddleware* fwd = tb.chain(i).forward.get()) {
+      result.packets_forwarded += fwd->packets_forwarded();
+      result.forwards_completed += fwd->forwards_completed();
+      result.forwards_unwound += fwd->forwards_unwound();
+    }
+    const chain::Height h = tb.chain(i).ledger->height();
+    const crypto::Digest* d = tb.chain(i).ledger->app_hash_after(h);
+    result.app_hashes.push_back(
+        d != nullptr ? util::to_hex(crypto::digest_to_bytes(*d)) : "");
+  }
+  if (tb.checker() != nullptr) {
+    result.invariant_violations = tb.checker()->violations().size();
+  }
 
   // The step log moved into the result outlives the testbed (and its
   // tracer); sever the mirror hook before that can dangle.

@@ -1,9 +1,11 @@
 #pragma once
 // Experiment runner: wires Setup + Benchmark + Analysis into one run.
 //
-// Every bench binary (one per paper table/figure) configures an
-// ExperimentConfig and calls run_experiment(); the returned ExperimentResult
-// carries all the series the paper reports.
+// Every bench binary (one per paper table/figure, and the mesh bench)
+// configures an ExperimentConfig and calls run_experiment(); the returned
+// ExperimentResult carries all the series the paper reports. The run is a
+// transfer route over the testbed's topology; the paper's pair is the
+// one-hop route {0, 1} over the one-edge topology.
 
 #include <string>
 #include <vector>
@@ -15,12 +17,17 @@
 namespace xcc {
 
 struct ExperimentConfig {
-  TestbedConfig testbed;
+  TestbedConfig testbed;  // .topology is the connection graph
   WorkloadConfig workload;
   relayer::RelayerConfig relayer;
 
-  /// Number of independent relayer instances on the channel (0 = none:
-  /// inclusion-only experiments, Figs. 6-7 / Table I).
+  /// Transfer route as testbed chain indices (>= 2 entries, consecutive
+  /// chains connected by the topology). Transfers start on route.front()
+  /// and the packet-forward middleware carries them to route.back().
+  std::vector<int> route{0, 1};
+
+  /// Relayer instances on each hop of the route (0 = none: inclusion-only
+  /// experiments, Figs. 6-7 / Table I).
   int relayer_count = 1;
 
   /// Measurement window in source-chain blocks after workload start.
@@ -37,11 +44,6 @@ struct ExperimentConfig {
   /// Collect per-packet step records (disable for the very hot inclusion
   /// sweeps where the extra confirmation queries would distort Table I).
   bool collect_steps = true;
-
-  /// Ablation: number of requests each RPC server executes in parallel.
-  /// 1 = the real Tendermint behaviour (the paper's bottleneck); higher
-  /// values quantify how much of the latency that serialization explains.
-  std::size_t parallel_rpc_requests = 1;
 
   /// Enables the telemetry hub for this run; ExperimentResult::metrics then
   /// carries the registry snapshot. Implied by trace_path/metrics_csv_path.
@@ -97,6 +99,23 @@ struct ExperimentResult {
   /// Last ack confirmation minus first transfer broadcast (Fig. 12's 455 s).
   double completion_latency_seconds = 0.0;
 
+  // Route outcome, observed on the route's last chain.
+  /// Submission-to-delivery latency of every transfer delivered to its
+  /// final receiver, in delivery order, matched FIFO against the broadcast
+  /// times in the step log (empty unless steps are collected).
+  std::vector<double> delivery_latencies_seconds;
+  /// Delivered transfers per second, first broadcast to last delivery.
+  double delivery_tfps = 0.0;
+  /// Packet-forward middleware counters summed over all chains.
+  std::uint64_t packets_forwarded = 0;
+  std::uint64_t forwards_completed = 0;
+  std::uint64_t forwards_unwound = 0;
+  /// Violations the invariant checker collected (0 under fail-fast, which
+  /// throws at the first one instead).
+  std::uint64_t invariant_violations = 0;
+  /// Final app hash per chain (hex): the determinism fingerprint.
+  std::vector<std::string> app_hashes;
+
   relayer::StepLog steps;
   TransferWorkload::Stats workload;
   std::vector<relayer::Relayer::Stats> relayers;
@@ -109,7 +128,8 @@ struct ExperimentResult {
   std::uint64_t no_confirmation_errors = 0;
   std::uint64_t rpc_unavailable_errors = 0;
 
-  // RPC utilisation on the machine-0 full nodes (the bottleneck analysis).
+  // RPC utilisation on the machine-0 full nodes of the route's first and
+  // last chain (the bottleneck analysis).
   double rpc_busy_seconds_a = 0.0;
   double rpc_busy_seconds_b = 0.0;
 

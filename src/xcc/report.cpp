@@ -22,8 +22,8 @@ void section_configuration(std::ostringstream& os,
   os << "| relayers | " << config.relayer_count << " |\n";
   os << "| relayer clear interval | " << config.relayer.clear_interval
      << " blocks |\n";
-  os << "| parallel RPC requests (ablation) | " << config.parallel_rpc_requests
-     << " |\n";
+  os << "| parallel RPC requests (ablation) | "
+     << config.testbed.rpc_query_workers << " |\n";
   if (config.workload.total_transfers > 0) {
     os << "| workload | " << config.workload.total_transfers
        << " transfers over " << config.workload.spread_blocks

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "ibc/forward.hpp"
 #include "ibc/msgs.hpp"
 
 namespace xcc {
@@ -11,12 +12,14 @@ namespace xcc {
 TransferWorkload::TransferWorkload(Testbed& testbed,
                                    const ChannelSetupResult& channel,
                                    WorkloadConfig config,
-                                   relayer::StepLog* step_log)
+                                   relayer::StepLog* step_log,
+                                   std::vector<ibc::ChannelId> onward)
     : testbed_(testbed),
       channel_(channel),
       config_(config),
       step_log_(step_log),
-      server_a_(testbed.chain_a()
+      onward_(std::move(onward)),
+      server_a_(testbed.chain(channel.chain_x)
                     .servers[static_cast<std::size_t>(config.machine)]
                     .get()) {}
 
@@ -135,6 +138,10 @@ void TransferWorkload::submit_one_tx(std::size_t account_idx,
 
   const chain::Address& sender =
       testbed_.user_accounts()[config_.account_offset + account_idx];
+  const std::string receiver =
+      onward_.empty()
+          ? "recv-" + sender
+          : ibc::ForwardMiddleware::encode_route(onward_, "recv-" + sender);
   std::vector<chain::Msg> msgs;
   msgs.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -144,9 +151,9 @@ void TransferWorkload::submit_one_tx(std::size_t account_idx,
     t.denom = cosmos::kNativeDenom;
     t.amount = config_.transfer_amount;
     t.sender = sender;
-    t.receiver = "recv-" + sender;
-    t.timeout_height =
-        testbed_.chain_b().ledger->height() + config_.timeout_height_offset;
+    t.receiver = receiver;
+    t.timeout_height = testbed_.chain(channel_.chain_y).ledger->height() +
+                       config_.timeout_height_offset;
     msgs.push_back(t.to_msg());
   }
 
@@ -252,7 +259,7 @@ sim::TimePoint OpenLoopWorkload::start() {
   // counts block keeps the un-unsubscribable engine callback safe if it
   // outlives this object.
   std::shared_ptr<LiveCounts> counts = counts_;
-  testbed_.chain_a().engine->subscribe_block(
+  testbed_.chain(channel_.chain_x).engine->subscribe_block(
       [counts](const chain::Block& block,
                const std::vector<chain::DeliverTxResult>& results) {
         bool any = false;
@@ -308,8 +315,8 @@ void OpenLoopWorkload::submit_next() {
     t.amount = config_.transfer_amount;
     t.sender = sender;
     t.receiver = "recv-" + sender;
-    t.timeout_height =
-        testbed_.chain_b().ledger->height() + config_.timeout_height_offset;
+    t.timeout_height = testbed_.chain(channel_.chain_y).ledger->height() +
+                       config_.timeout_height_offset;
     tx.msgs.push_back(t.to_msg());
   }
   tx.gas_limit = static_cast<std::uint64_t>(
@@ -319,7 +326,7 @@ void OpenLoopWorkload::submit_next() {
 
   // Round-robin the submissions over the machines' full nodes: one serial
   // RPC queue would otherwise become the artificial bottleneck.
-  const auto& servers = testbed_.chain_a().servers;
+  const auto& servers = testbed_.chain(channel_.chain_x).servers;
   const std::size_t m = (static_cast<std::size_t>(config_.machine) +
                          submit_index_++) %
                         servers.size();

@@ -75,8 +75,12 @@ class ZipfSampler {
 
 class TransferWorkload {
  public:
+  /// Submits on `channel` from its chain_x side. `onward` lists the
+  /// channels the packet-forward middleware carries each transfer on after
+  /// this first hop (empty: the transfer ends on chain_y).
   TransferWorkload(Testbed& testbed, const ChannelSetupResult& channel,
-                   WorkloadConfig config, relayer::StepLog* step_log);
+                   WorkloadConfig config, relayer::StepLog* step_log,
+                   std::vector<ibc::ChannelId> onward = {});
   ~TransferWorkload();
 
   TransferWorkload(const TransferWorkload&) = delete;
@@ -115,6 +119,7 @@ class TransferWorkload {
   ChannelSetupResult channel_;
   WorkloadConfig config_;
   relayer::StepLog* step_log_;
+  std::vector<ibc::ChannelId> onward_;
   rpc::Server* server_a_;
 
   std::vector<std::unique_ptr<relayer::Wallet>> wallets_;  // one per account

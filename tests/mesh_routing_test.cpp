@@ -1,8 +1,9 @@
 // N-chain mesh topologies and multi-hop packet forwarding (DESIGN.md §4i):
 // topology construction and validation, the forward middleware's route
-// encoding and refund unwinding, per-channel relayer coordination, and
-// end-to-end multi-hop transfers under the invariant checker — including the
-// same-seed byte-identical rerun and the mid-route-timeout regression.
+// encoding and refund unwinding, and end-to-end multi-hop routes through
+// run_experiment() under the invariant checker — including the same-seed
+// byte-identical rerun, the mid-route-timeout regression and the
+// observability artifacts of a route run.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +14,9 @@
 #include "check/scenario.hpp"
 #include "ibc/forward.hpp"
 #include "ibc/transfer.hpp"
-#include "relayer/coordination.hpp"
 #include "relayer/events.hpp"
-#include "xcc/mesh.hpp"
+#include "util/json.hpp"
+#include "xcc/experiment.hpp"
 #include "xcc/testbed.hpp"
 #include "xcc/topology.hpp"
 
@@ -142,48 +143,6 @@ TEST(ForwardRoute, TracePrefixingKeepsRoutesDistinct) {
   EXPECT_NE(forwarded, direct);
 }
 
-// --- Per-channel coordination ------------------------------------------------
-
-TEST(PerChannelCoordination, ChannelAssignmentOverridesGlobalFleet) {
-  // Global fleet of 3, but only instances {0, 1} serve "channel-5". With the
-  // global (index, count) a sequence band would map to instance 2 — which
-  // never sees the channel — and strand. The per-channel assignment must
-  // partition every sequence across exactly the two real servers.
-  relayer::CoordinationConfig base;
-  base.mode = relayer::CoordinationMode::kShardSequences;
-  base.relayer_count = 3;
-  base.shard_width = 10;
-
-  relayer::CoordinationConfig c0 = base;
-  c0.relayer_index = 0;
-  c0.per_channel["channel-5"] = relayer::ChannelAssignment{0, 2};
-  relayer::CoordinationConfig c1 = base;
-  c1.relayer_index = 1;
-  c1.per_channel["channel-5"] = relayer::ChannelAssignment{1, 2};
-  const relayer::CoordinationPolicy p0(c0), p1(c1);
-
-  for (ibc::Sequence seq = 1; seq <= 200; ++seq) {
-    const int owners = (p0.owns("channel-5", seq, 50) ? 1 : 0) +
-                       (p1.owns("channel-5", seq, 50) ? 1 : 0);
-    EXPECT_EQ(owners, 1) << "seq " << seq << " must have exactly one owner";
-  }
-  // A channel with no override falls back to the global fleet math.
-  EXPECT_EQ(p0.owns("channel-9", 1, 50),
-            relayer::CoordinationPolicy(base).owns(1, 50));
-}
-
-TEST(PerChannelCoordination, SoleServerOwnsEverything) {
-  relayer::CoordinationConfig cfg;
-  cfg.mode = relayer::CoordinationMode::kShardSequences;
-  cfg.relayer_index = 2;
-  cfg.relayer_count = 4;
-  cfg.per_channel["channel-3"] = relayer::ChannelAssignment{0, 1};
-  const relayer::CoordinationPolicy p(cfg);
-  for (ibc::Sequence seq = 1; seq <= 64; ++seq) {
-    EXPECT_TRUE(p.owns("channel-3", seq, 10));
-  }
-}
-
 // --- Telemetry hop lanes -----------------------------------------------------
 
 TEST(StepLogHops, LegacyCsvStaysThreeColumns) {
@@ -216,40 +175,46 @@ TEST(StepLogHops, MultiHopCsvGrowsHopColumn) {
 
 // --- End-to-end multi-hop ----------------------------------------------------
 
-xcc::MeshExperimentConfig line3_config(std::uint64_t seed) {
-  xcc::MeshExperimentConfig cfg;
+xcc::ExperimentConfig line3_config(std::uint64_t seed) {
+  xcc::ExperimentConfig cfg;
   cfg.testbed.topology = xcc::TopologyConfig::line(3);
   cfg.testbed.seed = seed;
   cfg.testbed.machines = 2;
   cfg.testbed.validators_per_chain = 4;
+  cfg.testbed.invariant_fail_fast = false;  // count, don't throw
   cfg.workload.total_transfers = 8;
   cfg.workload.msgs_per_tx = 4;
+  cfg.measure_blocks = 4;
+  cfg.wait_for_drain = true;
   cfg.route = {0, 1, 2};
   cfg.max_sim_time = sim::seconds(2'000);
   return cfg;
 }
 
 TEST(MeshRouting, TwoHopLineDeliversAndStaysConservative) {
-  const auto r = xcc::run_mesh_experiment(line3_config(7));
+  const auto r = xcc::run_experiment(line3_config(7));
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.completed, r.requested);
+  EXPECT_EQ(r.delivery_latencies_seconds.size(), r.workload.requested);
+  EXPECT_EQ(r.final_breakdown.completed, r.workload.requested);
   EXPECT_EQ(r.invariant_violations, 0u);
   // Every transfer crossed the middle chain exactly once and settled.
-  EXPECT_EQ(r.packets_forwarded, r.requested);
-  EXPECT_EQ(r.forwards_completed, r.requested);
+  EXPECT_EQ(r.packets_forwarded, r.workload.requested);
+  EXPECT_EQ(r.forwards_completed, r.workload.requested);
   EXPECT_EQ(r.forwards_unwound, 0u);
-  EXPECT_EQ(r.latencies_seconds.size(), r.requested);
-  EXPECT_GT(r.avg_latency_seconds, 0.0);
+  EXPECT_GT(r.delivery_tfps, 0.0);
+  for (double v : r.delivery_latencies_seconds) EXPECT_GT(v, 0.0);
   ASSERT_EQ(r.app_hashes.size(), 3u);
   for (const auto& h : r.app_hashes) EXPECT_FALSE(h.empty());
+  // One relayer per hop, each on its own wallet.
+  EXPECT_EQ(r.relayers.size(), 2u);
 }
 
 TEST(MeshRouting, SameSeedRerunIsByteIdentical) {
-  const auto a = xcc::run_mesh_experiment(line3_config(42));
-  const auto b = xcc::run_mesh_experiment(line3_config(42));
+  const auto a = xcc::run_experiment(line3_config(42));
+  const auto b = xcc::run_experiment(line3_config(42));
   ASSERT_TRUE(a.ok && b.ok) << a.error << b.error;
   EXPECT_EQ(a.app_hashes, b.app_hashes);
-  EXPECT_EQ(a.latencies_seconds, b.latencies_seconds);
+  EXPECT_EQ(a.delivery_latencies_seconds, b.delivery_latencies_seconds);
   EXPECT_EQ(a.sim_seconds, b.sim_seconds);
   EXPECT_EQ(a.events_executed, b.events_executed);
   ASSERT_EQ(a.steps.records().size(), b.steps.records().size());
@@ -266,25 +231,59 @@ TEST(MeshRouting, MidRouteTimeoutRefundsExactlyOnce) {
   // relayer can deliver it. The middleware must refund the forwarding
   // agent, unwind chain 1's local delivery, and propagate an error ack so
   // chain 0 releases the hop-1 escrow back to the sender — exactly once.
-  xcc::MeshExperimentConfig cfg;
+  xcc::ExperimentConfig cfg;
   cfg.testbed.topology = xcc::TopologyConfig::line(4);
   cfg.testbed.seed = 11;
   cfg.testbed.machines = 2;
   cfg.testbed.validators_per_chain = 4;
   cfg.testbed.forward_hop_timeout_blocks = 1;
+  cfg.testbed.invariant_fail_fast = false;
   cfg.workload.total_transfers = 4;
   cfg.workload.msgs_per_tx = 2;
+  cfg.measure_blocks = 4;
+  cfg.wait_for_drain = true;
   cfg.route = {0, 1, 2, 3};
   cfg.max_sim_time = sim::seconds(2'000);
-  cfg.drain_no_progress_limit = sim::seconds(120);
-  const auto r = xcc::run_mesh_experiment(cfg);
+  const auto r = xcc::run_experiment(cfg);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.completed, 0u) << "one-block hop budget must not be relayable";
+  EXPECT_TRUE(r.delivery_latencies_seconds.empty())
+      << "one-block hop budget must not be relayable";
   EXPECT_EQ(r.invariant_violations, 0u);
   EXPECT_GT(r.packets_forwarded, 0u);
   // Every forwarded packet unwound; none completed.
   EXPECT_EQ(r.forwards_completed, 0u);
   EXPECT_EQ(r.forwards_unwound, r.packets_forwarded);
+}
+
+TEST(MeshRouting, RouteRunWritesSeriesAndTrace) {
+  // A multi-hop run gets the same observability wiring as the pair: the
+  // sampler's relayer probes (on the first hop's first instance), the
+  // trace export and an armed flight recorder.
+  xcc::ExperimentConfig cfg = line3_config(5);
+  const std::string dir = ::testing::TempDir();
+  cfg.series_csv_path = dir + "route_series.csv";
+  cfg.trace_path = dir + "route_trace.json";
+  cfg.flight_dump_path = dir + "route.flight";
+  const auto r = xcc::run_experiment(cfg);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.telemetry_error.empty()) << r.telemetry_error;
+  EXPECT_EQ(r.delivery_latencies_seconds.size(), r.workload.requested);
+
+  std::ifstream series(cfg.series_csv_path);
+  std::string header;
+  ASSERT_TRUE(std::getline(series, header));
+  EXPECT_NE(header.find("probe.relayer0.in_flight"), std::string::npos);
+  EXPECT_NE(header.find("probe.relayer0.stage.recv_done"), std::string::npos);
+  EXPECT_GT(r.series.samples(), 1u);
+
+  std::ifstream trace_file(cfg.trace_path);
+  std::stringstream trace;
+  trace << trace_file.rdbuf();
+  const auto parsed = util::json::parse(trace.str());
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  const util::json::Value* events = parsed.value.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  EXPECT_TRUE(events->is_array());
 }
 
 TEST(MeshRouting, FuzzerTopologiesStayInvariantClean) {

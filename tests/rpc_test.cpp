@@ -111,7 +111,7 @@ TEST_F(RpcFixture, ParallelAblationOverlapsRequests) {
   std::vector<chain::Tx> txs;
   for (int i = 0; i < 20; ++i) txs.push_back(make_tx(i, 100));
   commit_block(std::move(txs), 20'000);
-  server->set_parallel_requests(8);
+  server->set_query_workers(8);
 
   std::vector<sim::TimePoint> done;
   for (int i = 0; i < 2; ++i) {
