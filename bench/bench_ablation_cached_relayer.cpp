@@ -119,10 +119,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--smoke") smoke = true;
   }
-  const bench::Options opt =
-      bench::parse_options(argc, argv, "ablation_cached_relayer.csv",
-                           {{"--smoke", false,
-                             "one small burst pair only (CI smoke check)"}});
+  const bench::Options opt = bench::parse_options(
+      argc, argv,
+      {{"--smoke", false, "one small burst pair only (CI smoke check)"}});
 
   bench::print_header(
       "Ablation: relayer QueryCache (paper SVI's proposed mitigation)",
@@ -162,9 +161,7 @@ int main(int argc, char** argv) {
     add_row(table, "rate", rates[i], true, results[3 + 2 * i]);
   }
   table.print(std::cout);
-  table.write_csv(opt.csv);
-  bench::write_report(opt, table);
-  std::cout << "CSV written to " << opt.csv << "\n";
+  bench::write_view(opt, "ablation_cached_relayer", table);
 
   const double share_off = pull_share(burst_off);
   const double share_on = pull_share(burst_on);

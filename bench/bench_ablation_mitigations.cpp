@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--smoke") smoke = true;
   }
   const bench::Options opt = bench::parse_options(
-      argc, argv, "ablation_mitigations.csv",
+      argc, argv,
       {{"--smoke", false, "trimmed matrix for the sanitizer CI phase"}});
 
   bench::print_header(
@@ -211,9 +211,7 @@ int main(int argc, char** argv) {
   const xcc::ExperimentResult& fig9_ref = results.back();
   add_row(table, "base", "fig9_ref_1r", 100, fig9_ref);
   table.print(std::cout);
-  table.write_csv(opt.csv);
-  bench::write_report(opt, table);
-  std::cout << "CSV written to " << opt.csv << "\n";
+  bench::write_view(opt, "ablation_mitigations", table);
 
   // Named rows the checks below read.
   auto combo_index = [&](const std::string& name) {

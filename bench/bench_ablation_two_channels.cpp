@@ -100,7 +100,7 @@ Outcome run_config(int relayers, int channels, double rps) {
 
 int main(int argc, char** argv) {
   const bench::Options opt =
-      bench::parse_options(argc, argv, "ablation_two_channels.csv");
+      bench::parse_options(argc, argv, {}, /*instrumented=*/false);
 
   bench::print_header(
       "Ablation: two relayers — one shared channel vs one channel each",
@@ -139,8 +139,6 @@ int main(int argc, char** argv) {
   std::cout << "\nSeparate channels eliminate redundant deliveries and scale "
                "throughput,\nbut the same token arrives under a different "
                "denom per channel (§IV-A).\n";
-  table.write_csv(opt.csv);
-  bench::write_report(opt, table);
-  std::cout << "CSV written to " << opt.csv << "\n";
+  bench::write_view(opt, "ablation_two_channels", table);
   return 0;
 }

@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--ablate-indexed-queries") ablate = true;
   }
   const bench::Options opt = bench::parse_options(
-      argc, argv, "fig12_latency_breakdown.csv",
+      argc, argv,
       {{"--ablate-indexed-queries", false,
         "also run the indexed-query counterfactual"}});
 
@@ -137,9 +137,7 @@ int main(int argc, char** argv) {
                  util::fmt_double(sample.quantile(0.75), 2),
                  util::fmt_double(sample.max(), 2)});
   }
-  csv.write_csv(opt.csv);
-  bench::write_report(opt, csv);
-  std::cout << "CSV written to " << opt.csv << "\n";
+  bench::write_view(opt, "fig12_latency_breakdown", csv);
 
   // Archive a full execution report for this run (the framework's report
   // generator).

@@ -10,8 +10,7 @@
 #include "common.hpp"
 
 int main(int argc, char** argv) {
-  const bench::Options opt =
-      bench::parse_options(argc, argv, "fig13_submission_strategies.csv");
+  const bench::Options opt = bench::parse_options(argc, argv);
 
   bench::print_header(
       "Figure 13: 5,000 transfers, submission spread over k blocks",
@@ -74,8 +73,6 @@ int main(int argc, char** argv) {
               << " lower latency than single-block submission "
               << "(paper: 16 blocks, -70%)\n";
   }
-  table.write_csv(opt.csv);
-  bench::write_report(opt, table);
-  std::cout << "CSV written to " << opt.csv << "\n";
+  bench::write_view(opt, "fig13_submission_strategies", table);
   return 0;
 }

@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--smoke") smoke = true;
   }
   const bench::Options opt = bench::parse_options(
-      argc, argv, "mesh_routing.csv",
+      argc, argv,
       {{"--smoke", false, "trimmed grid for the sanitizer CI phase"}});
 
   bench::print_header(
@@ -157,20 +157,7 @@ int main(int argc, char** argv) {
 
   std::vector<xcc::ExperimentConfig> configs;
   for (const Point& p : points) configs.push_back(make_config(p, transfers));
-  bench::apply_trace(opt, configs);
-  // run_scenarios rather than run_sweep: --json then adds no metrics
-  // snapshot, so the report's virtual section stays comparable with the
-  // committed smoke baseline (bench/baselines/BENCH_mesh_routing.json).
-  std::vector<xcc::ExperimentResult> results(configs.size());
-  std::vector<std::function<void()>> jobs;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    jobs.push_back([&results, &configs, i]() {
-      results[i] = xcc::run_experiment(configs[i]);
-    });
-  }
-  bench::run_scenarios(opt, jobs);
-  bench::keep_series(opt, results);
-  bench::print_trace_summary(opt, results);
+  const auto results = bench::run_sweep(opt, std::move(configs));
 
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (!results[i].ok) {
@@ -202,9 +189,7 @@ int main(int argc, char** argv) {
                    std::to_string(r.invariant_violations)});
   }
   table.print(std::cout);
-  table.write_csv(opt.csv);
-  bench::write_report(opt, table);
-  std::cout << "CSV written to " << opt.csv << "\n";
+  bench::write_view(opt, "mesh_routing", table);
 
   bool failed = false;
   auto check = [&](bool ok, const std::string& what) {

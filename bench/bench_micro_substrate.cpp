@@ -339,22 +339,22 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
   util::json::Value results = util::json::Value::array();
 };
 
-// Custom main instead of BENCHMARK_MAIN(): run_benches.sh passes the shared
-// harness flags (--jobs/--full/--reps/--csv/--trace/--json) to every bench;
-// strip them so google-benchmark does not reject the command line. --json
-// is honored: the captured runs are written as a BENCH report whose host
-// section carries a "microbench" array.
+// Custom main instead of BENCHMARK_MAIN(): strip the shared harness flags
+// (--jobs/--full/--reps/--trace/--json) so google-benchmark does not reject
+// the command line. --json is honored: the captured runs are written to
+// BENCH_micro_substrate.json, a BENCH report whose host section carries a
+// "microbench" array.
 int main(int argc, char** argv) {
-  std::string json_path;
+  bool json = false;
   std::vector<char*> args;
   args.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i];
-    if (a == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
+    if (a == "--json") {
+      json = true;
       continue;
     }
-    if (a == "--jobs" || a == "--reps" || a == "--csv" || a == "--trace") {
+    if (a == "--jobs" || a == "--reps" || a == "--trace") {
       ++i;  // skip the flag's value too
       continue;
     }
@@ -370,7 +370,8 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 
-  if (!json_path.empty()) {
+  if (json) {
+    const std::string json_path = "BENCH_micro_substrate.json";
     xcc::BenchReportInputs in;
     in.bench = "micro_substrate";
     auto report = xcc::build_bench_report(in);

@@ -72,8 +72,7 @@ int main(int argc, char** argv) {
       {"--smoke", false, "run only the 10^5-transfer tier (CI smoke)"},
       {"--transfers", true, "run a single custom tier of N transfers"},
   };
-  const bench::Options opt =
-      bench::parse_options(argc, argv, "scale_transfers.csv", flags);
+  const bench::Options opt = bench::parse_options(argc, argv, flags);
 
   bool smoke = false;
   std::uint64_t custom = 0;
@@ -155,10 +154,8 @@ int main(int argc, char** argv) {
 
   std::cout << "\n";
   table.print(std::cout);
-  table.write_csv(opt.csv);
   std::vector<std::pair<std::string, util::json::Value>> extras;
   extras.emplace_back("scale_tiers", std::move(tiers_json));
-  bench::write_report(opt, table, std::move(extras));
-  std::cout << "\nCSV written to " << opt.csv << "\n";
+  bench::write_view(opt, "scale_transfers", table, std::move(extras));
   return 0;
 }

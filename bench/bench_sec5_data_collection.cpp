@@ -42,7 +42,7 @@ chain::Height densest_block(const chain::Ledger& ledger,
 
 int main(int argc, char** argv) {
   const bench::Options opt =
-      bench::parse_options(argc, argv, "sec5_data_collection.csv");
+      bench::parse_options(argc, argv, {}, /*instrumented=*/false);
 
   bench::print_header(
       "Section V: transaction data collection cost",
@@ -126,8 +126,6 @@ int main(int argc, char** argv) {
   std::cout << "\n(The paper's 331,706-line / 579,919-line outputs correspond "
                "to the payload sizes above;\n recv blocks cost ~2x because "
                "their event payloads are ~2x larger.)\n";
-  table.write_csv(opt.csv);
-  bench::write_report(opt, table);
-  std::cout << "CSV written to " << opt.csv << "\n";
+  bench::write_view(opt, "sec5_data_collection", table);
   return 0;
 }

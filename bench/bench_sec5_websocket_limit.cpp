@@ -74,7 +74,7 @@ void add_rows(util::Table& table, const std::string& label, const Classes& c,
 
 int main(int argc, char** argv) {
   const bench::Options opt =
-      bench::parse_options(argc, argv, "sec5_websocket_limit.csv");
+      bench::parse_options(argc, argv, {}, /*instrumented=*/false);
 
   bench::print_header(
       "Section V: WebSocket 16 MB frame limit -> stuck packets",
@@ -191,8 +191,6 @@ int main(int argc, char** argv) {
   std::cout << "\nThe paper's headline §V behaviours reproduce: the burst's\n"
                "packets are stuck (committed, never relayed, never refunded)\n"
                "and transfers submitted after the failed frame expire too.\n";
-  table.write_csv(opt.csv);
-  bench::write_report(opt, table);
-  std::cout << "CSV written to " << opt.csv << "\n";
+  bench::write_view(opt, "sec5_websocket_limit", table);
   return 0;
 }

@@ -13,8 +13,7 @@
 #include "common.hpp"
 
 int main(int argc, char** argv) {
-  const bench::Options opt =
-      bench::parse_options(argc, argv, "table1_submission.csv");
+  const bench::Options opt = bench::parse_options(argc, argv);
   const int reps = bench::reps_or(opt, 2, 20);
 
   bench::print_header(
@@ -67,10 +66,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
   table.print(std::cout);
-  table.write_csv(opt.csv);
-  bench::write_report(opt, table);
+  bench::write_view(opt, "table1_submission", table);
   std::cout << "\nNote: seq-mismatch / no-confirmation columns count the\n"
-               "wallet-level errors the paper names in §IV-A and §V.\n"
-               "CSV written to " << opt.csv << "\n";
+               "wallet-level errors the paper names in §IV-A and §V.\n";
   return 0;
 }

@@ -37,7 +37,7 @@ struct GasSample {
 
 int main(int argc, char** argv) {
   const bench::Options opt =
-      bench::parse_options(argc, argv, "table_gas_usage.csv");
+      bench::parse_options(argc, argv, {}, /*instrumented=*/false);
 
   bench::print_header(
       "Gas usage of 100-message IBC transactions (§IV-A)",
@@ -112,9 +112,7 @@ int main(int argc, char** argv) {
                  util::fmt_percent(spread(ack.gas)), "3,107,462", "7.6%",
                  std::to_string(ack.gas.count())});
   table.print(std::cout);
-  table.write_csv(opt.csv);
-  bench::write_report(opt, table);
-  std::cout << "\ncompleted " << completed
-            << "/500 transfers; CSV written to " << opt.csv << "\n";
+  bench::write_view(opt, "table_gas_usage", table);
+  std::cout << "\ncompleted " << completed << "/500 transfers\n";
   return 0;
 }

@@ -85,7 +85,7 @@ Point run_with_validators(int validators) {
 
 int main(int argc, char** argv) {
   const bench::Options opt =
-      bench::parse_options(argc, argv, "validators_latency.csv");
+      bench::parse_options(argc, argv, {}, /*instrumented=*/false);
 
   bench::print_header(
       "§III-C: validator count vs single-transfer latency",
@@ -130,8 +130,6 @@ int main(int argc, char** argv) {
   std::cout << "\nThe validator count moves consensus latency by ~100 ms but "
                "the complete\ntransfer by ~1% — the paper's justification for "
                "a 5-validator testbed.\n";
-  table.write_csv(opt.csv);
-  bench::write_report(opt, table);
-  std::cout << "CSV written to " << opt.csv << "\n";
+  bench::write_view(opt, "validators_latency", table);
   return 0;
 }

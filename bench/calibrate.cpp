@@ -97,7 +97,7 @@ void fig6_report(double rps, const xcc::ExperimentResult& res) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Options opt = bench::parse_options(argc, argv, "");
+  const bench::Options opt = bench::parse_options(argc, argv);
   std::cout << "-- calibration probes (" << bench::jobs_or_default(opt)
             << " worker(s)) --\n";
 

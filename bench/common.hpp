@@ -1,28 +1,36 @@
 #pragma once
-// Shared helpers for the per-figure bench binaries.
+// Shared helpers for the bench binaries.
+//
+// A bench writes each of its result tables into the working directory as
+// <view>.csv, where the view is the table's name (fig8_relayer_throughput).
+// One binary may write several views: bench_inclusion and bench_relayer run
+// one sweep each and project Figs. 6-7 and Figs. 8-11 from it (sweeps.hpp).
 //
 // Every binary accepts:
 //   --full         run the paper's full sweep (20 executions per point);
 //                  default is a trimmed grid so `for b in build/bench/*`
 //                  finishes quickly
 //   --reps N       override the executions per point
-//   --csv PATH     also write the table as CSV (default: <bench>.csv in cwd)
 //   --jobs N       worker threads for the sweep (default: hardware
 //                  concurrency). Every repetition is an independent,
 //                  seed-deterministic simulation, so results — and the CSV —
 //                  are byte-identical for any N.
+//   --json         also write a machine-readable report per view,
+//                  BENCH_<view>.json (see xcc/bench_report.hpp): the view's
+//                  table and metrics in a deterministic "virtual" section,
+//                  wall time / events-per-second / profiler breakdown in a
+//                  nondeterministic "host" section. Also arms the host-time
+//                  profiler for the run. Unlike --trace it does NOT force
+//                  step collection, so the virtual results are identical to
+//                  a plain run.
+//
+// Benches whose runs go through run_sweep also accept (the others reject
+// them, since they have no first experiment to instrument):
 //   --trace FILE   enable telemetry on the sweep's FIRST experiment and
 //                  write its Chrome trace-event JSON (open in Perfetto) to
 //                  FILE, plus the metrics snapshot to FILE.metrics.csv.
 //                  One experiment only, so the output is a single
 //                  deterministic file (byte-identical across runs).
-//   --json PATH    write a machine-readable bench report (see
-//                  xcc/bench_report.hpp): the result table and metrics in a
-//                  deterministic "virtual" section, wall time / events-per-
-//                  second / profiler breakdown in a nondeterministic "host"
-//                  section. Also arms the host-time profiler for the run.
-//                  Unlike --trace it does NOT force step collection, so the
-//                  virtual results are identical to a plain run.
 //   --series FILE  sample the first experiment's metrics + component probes
 //                  over virtual time (one row per source block interval)
 //                  and write the time-series CSV to FILE; with --json the
@@ -55,13 +63,10 @@ struct Options {
   bool full = false;
   int reps = 0;  // 0 = per-bench default
   int jobs = 0;  // 0 = hardware concurrency
-  std::string csv;
+  bool json = false;   // --json: write BENCH_<view>.json per view
   std::string trace;   // --trace FILE: trace the sweep's first experiment
-  std::string json;    // --json PATH: write the machine-readable report
   std::string series;  // --series FILE: time-series CSV, first experiment
   std::string flight;  // --flight FILE: flight-dump path, first experiment
-  /// Bench id, derived from the default CSV name ("fig8_relayer_throughput").
-  std::string bench;
   /// Bench-specific flags actually passed, in command-line order; value-less
   /// flags record "true". Embedded in the report's config section.
   std::vector<std::pair<std::string, std::string>> extra;
@@ -76,8 +81,9 @@ struct FlagSpec {
 
 namespace detail {
 
-/// Accumulated report state for this binary (one bench per process): sweep
-/// utilisation, merged profiler output and the first experiment's metrics.
+/// Accumulated report state for this binary, shared by every view it
+/// writes: sweep utilisation, merged profiler output and the first
+/// experiment's metrics.
 struct ReportState {
   xcc::ProfileCollector profiler;
   xcc::SweepStats sweep{};
@@ -99,37 +105,41 @@ inline ReportState g_report;
 
 }  // namespace detail
 
+/// Parses the shared flags plus `extra_flags`. `instrumented` says whether
+/// the bench runs through run_sweep: only then is there a first experiment
+/// for --trace/--series/--flight, so otherwise they are unknown options.
 inline Options parse_options(int argc, char** argv,
-                             const std::string& default_csv,
-                             const std::vector<FlagSpec>& extra_flags = {}) {
+                             const std::vector<FlagSpec>& extra_flags = {},
+                             bool instrumented = true) {
   Options opt;
-  opt.csv = default_csv;
-  opt.bench = default_csv.size() > 4 &&
-                      default_csv.rfind(".csv") == default_csv.size() - 4
-                  ? default_csv.substr(0, default_csv.size() - 4)
-                  : default_csv;
 
   const auto usage = [&](std::ostream& os) {
     os << "usage: " << (argc > 0 ? argv[0] : "bench") << " [options]\n"
+       << "writes each result table to <view>.csv in the working directory\n"
        << "  --full        run the paper's full sweep\n"
        << "  --reps N      executions per sweep point\n"
        << "  --jobs N      worker threads (default: hardware concurrency)\n"
-       << "  --csv PATH    write the result table as CSV (default: "
-       << (default_csv.empty() ? "none" : default_csv) << ")\n"
-       << "  --trace FILE  telemetry on the first experiment: Chrome trace\n"
-       << "                JSON to FILE + metrics CSV to FILE.metrics.csv\n"
-       << "                (forces step collection — observer effect)\n"
-       << "  --json PATH   write the machine-readable bench report (virtual\n"
-       << "                + host sections); arms the host-time profiler\n"
-       << "  --series FILE sample the first experiment over virtual time;\n"
-       << "                time-series CSV to FILE\n"
-       << "  --flight FILE arm the flight recorder on the first experiment;\n"
-       << "                a failure dumps journal+metrics+series to FILE\n"
-       << "  --help        show this help\n";
+       << "  --json        also write BENCH_<view>.json per table (virtual\n"
+       << "                + host sections); arms the host-time profiler\n";
+    if (instrumented) {
+      os << "  --trace FILE  telemetry on the first experiment: Chrome trace\n"
+         << "                JSON to FILE + metrics CSV to FILE.metrics.csv\n"
+         << "                (forces step collection — observer effect)\n"
+         << "  --series FILE sample the first experiment over virtual time;\n"
+         << "                time-series CSV to FILE\n"
+         << "  --flight FILE arm the flight recorder on the first experiment;\n"
+         << "                a failure dumps journal+metrics+series to FILE\n";
+    }
+    os << "  --help        show this help\n";
     for (const FlagSpec& f : extra_flags) {
       os << "  " << f.name << (f.takes_value ? " V" : "") << "  " << f.help
          << "\n";
     }
+  };
+  const auto fail = [&](const std::string& what) {
+    std::cerr << what << "\n";
+    usage(std::cerr);
+    std::exit(1);
   };
 
   for (int i = 1; i < argc; ++i) {
@@ -147,9 +157,8 @@ inline Options parse_options(int argc, char** argv,
     const auto take_value = [&]() -> std::string {
       if (has_inline) return inline_value;
       if (i + 1 < argc) return argv[++i];
-      std::cerr << "option " << arg << " requires a value\n";
-      usage(std::cerr);
-      std::exit(1);
+      fail("option " + arg + " requires a value");
+      return {};
     };
 
     if (arg == "--full") {
@@ -158,15 +167,16 @@ inline Options parse_options(int argc, char** argv,
       opt.reps = std::atoi(take_value().c_str());
     } else if (arg == "--jobs") {
       opt.jobs = std::atoi(take_value().c_str());
-    } else if (arg == "--csv") {
-      opt.csv = take_value();
-    } else if (arg == "--trace") {
-      opt.trace = take_value();
     } else if (arg == "--json") {
-      opt.json = take_value();
-    } else if (arg == "--series") {
+      // Reports are named after their views; a value here would be
+      // silently ignored, so reject it.
+      if (has_inline) fail("option --json takes no value");
+      opt.json = true;
+    } else if (instrumented && arg == "--trace") {
+      opt.trace = take_value();
+    } else if (instrumented && arg == "--series") {
       opt.series = take_value();
-    } else if (arg == "--flight") {
+    } else if (instrumented && arg == "--flight") {
       opt.flight = take_value();
     } else if (arg == "--help") {
       usage(std::cout);
@@ -180,11 +190,7 @@ inline Options parse_options(int argc, char** argv,
           break;
         }
       }
-      if (!matched) {
-        std::cerr << "unknown option: " << argv[i] << "\n";
-        usage(std::cerr);
-        std::exit(1);
-      }
+      if (!matched) fail(std::string("unknown option: ") + argv[i]);
     }
   }
   return opt;
@@ -283,7 +289,7 @@ inline void print_trace_summary(const Options& opt,
 /// watchdog warnings for the report's virtual `series` section.
 inline void keep_series(const Options& opt,
                         const std::vector<xcc::ExperimentResult>& results) {
-  if (opt.json.empty() || opt.series.empty() ||
+  if (!opt.json || opt.series.empty() ||
       detail::g_report.have_series || results.empty() ||
       !results.front().ok) {
     return;
@@ -301,7 +307,7 @@ inline void keep_series(const Options& opt,
 inline std::vector<xcc::ExperimentResult> run_sweep(
     const Options& opt, std::vector<xcc::ExperimentConfig> configs) {
   apply_trace(opt, configs);
-  const bool reporting = !opt.json.empty();
+  const bool reporting = opt.json;
   if (reporting && !configs.empty()) configs.front().telemetry = true;
   xcc::SweepStats stats;
   auto results =
@@ -322,10 +328,12 @@ inline std::vector<xcc::ExperimentResult> run_sweep(
 }
 
 /// Runs custom scenario jobs (benches not built on run_experiment) through
-/// the same pool, with the same summary and --json profiling.
+/// the same pool, with the same summary and --json profiling. These benches
+/// have no first experiment to instrument, so they parse their options with
+/// `instrumented = false`.
 inline void run_scenarios(const Options& opt,
                           std::vector<std::function<void()>>& jobs) {
-  const bool reporting = !opt.json.empty();
+  const bool reporting = opt.json;
   xcc::SweepStats stats;
   xcc::run_jobs(jobs, jobs_or_default(opt), &stats,
                 reporting ? &detail::g_report.profiler : nullptr);
@@ -333,18 +341,21 @@ inline void run_scenarios(const Options& opt,
   print_sweep_summary(stats);
 }
 
-/// Writes the BENCH_*.json report for this run (no-op without --json).
-/// `table` is the bench's CSV table — its cells become the deterministic
-/// virtual points. Call once, after the last sweep. `host_extras` are
-/// injected as additional keys of the report's host section (schema v1
+/// Writes one view: its table to <view>.csv in the working directory and,
+/// under --json, the BENCH_<view>.json report, whose deterministic virtual
+/// points are the table's cells. Call after the last sweep. `host_extras`
+/// are injected as additional keys of the report's host section (schema v1
 /// allows extra host keys); use them for bench-specific host measurements
 /// such as per-tier RSS so bench_compare noise-checks them too.
-inline void write_report(
-    const Options& opt, const util::Table& table,
+inline void write_view(
+    const Options& opt, const std::string& view, const util::Table& table,
     std::vector<std::pair<std::string, util::json::Value>> host_extras = {}) {
-  if (opt.json.empty()) return;
+  const std::string csv = view + ".csv";
+  table.write_csv(csv);
+  std::cout << "CSV written to " << csv << "\n";
+  if (!opt.json) return;
   xcc::BenchReportInputs in;
-  in.bench = opt.bench;
+  in.bench = view;
   in.full = opt.full;
   in.reps = opt.reps;
   in.jobs = opt.jobs;
@@ -367,12 +378,13 @@ inline void write_report(
       }
     }
   }
-  const util::Status st = xcc::write_json_file(opt.json, report);
+  const std::string json = "BENCH_" + view + ".json";
+  const util::Status st = xcc::write_json_file(json, report);
   if (!st.is_ok()) {
     std::cerr << "[json] FAILED: " << st.to_string() << "\n";
     std::exit(1);  // a requested report that was not produced must be loud
   }
-  std::cout << "[json] wrote " << opt.json << "\n";
+  std::cout << "[json] wrote " << json << "\n";
 }
 
 /// Config for one inclusion-only run (Figs. 6-7 / Table I): submits at
@@ -407,21 +419,6 @@ inline xcc::ExperimentConfig relayer_config(double rps, int relayers,
   cfg.testbed.seed = seed_for(rep);
   cfg.max_sim_time = sim::seconds(4'000);
   return cfg;
-}
-
-/// One inclusion-only run, executed immediately (kept for spot checks).
-inline xcc::ExperimentResult run_inclusion_point(double rps, int rep,
-                                                 int blocks = 15,
-                                                 bool resolve_workload = false) {
-  return xcc::run_experiment(
-      inclusion_config(rps, rep, blocks, resolve_workload));
-}
-
-/// One relayer-throughput run, executed immediately (kept for spot checks).
-inline xcc::ExperimentResult run_relayer_point(double rps, int relayers,
-                                               sim::Duration rtt, int rep,
-                                               int blocks = 50) {
-  return xcc::run_experiment(relayer_config(rps, relayers, rtt, rep, blocks));
 }
 
 }  // namespace bench

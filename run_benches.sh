@@ -1,16 +1,19 @@
 #!/bin/bash
-# Checkpointing bench runner: each bench's output is cached in
-# bench_results/<name>.txt (plus a machine-readable report in
-# bench_results/BENCH_<name>.json for the bench_* binaries); completed
-# benches are skipped, so the script can be re-invoked until everything is
-# done.
+# Checkpointing bench runner: each bench runs inside bench_results/, its
+# output is cached in bench_results/<name>.txt and its tables land next to
+# it (<view>.csv, plus a machine-readable BENCH_<view>.json report for the
+# bench_* binaries); completed benches are skipped, so the script can be
+# re-invoked until everything is done.
 #
 #   ./run_benches.sh            run all benches (cached)
 #   ./run_benches.sh --check    sanitizer passes (TSan over the parallel
 #                               runner + determinism + telemetry tests, then
 #                               ASan+UBSan over the invariant checker, fuzz
 #                               scenarios and relayer/query-cache regression
-#                               tests), the golden-figure regression suite,
+#                               tests), the golden-figure regression suite
+#                               (plus every bench owning a CSV in
+#                               bench/golden/ rerun at default settings; each
+#                               CSV must match byte for byte),
 #                               a --trace smoke test (one traced bench; the
 #                               JSON must parse), the cache-ablation smoke
 #                               (cache-off CSV byte-exact vs the committed
@@ -49,6 +52,7 @@
 #                               .bench_build). Ends with a phase summary
 #                               table.
 cd "$(dirname "$0")"
+repo=$PWD
 
 if [ "$1" = "--check" ]; then
   set -e
@@ -125,13 +129,37 @@ if [ "$1" = "--check" ]; then
   phase "golden-figure regression suite"
   cmake --build build -j --target test_golden
   (cd build && ctest --output-on-failure -R 'GoldenFigures')
+  # Every bench that owns a committed figure CSV, at default settings in a
+  # scratch directory: each CSV must come out byte-identical to
+  # bench/golden/ (ablation_cached_smoke.csv belongs to the cache-ablation
+  # phase below).
+  golden_benches="bench_inclusion bench_relayer
+    bench_table1_submission bench_fig12_latency_breakdown
+    bench_fig13_submission_strategies bench_sec5_data_collection
+    bench_sec5_websocket_limit bench_table_gas_usage
+    bench_ablation_two_channels bench_validators_latency"
+  # shellcheck disable=SC2086
+  cmake --build build -j --target $golden_benches
+  gdir=$(mktemp -d -t ibc_golden_XXXXXX)
+  for b in $golden_benches; do
+    (cd "$gdir" && "$repo/build/bench/$b" >/dev/null)
+  done
+  n=0
+  for g in bench/golden/*.csv; do
+    [ "$(basename "$g")" = ablation_cached_smoke.csv ] && continue
+    diff "$g" "$gdir/$(basename "$g")"
+    n=$((n + 1))
+  done
+  echo "$n default CSVs byte-identical to bench/golden/"
+  rm -rf "$gdir"
   phase_ok
 
   phase "trace smoke: fig12 with --trace"
   cmake --build build -j --target bench_fig12_latency_breakdown
-  trace_out=$(mktemp -t ibc_trace_XXXXXX.json)
-  ./build/bench/bench_fig12_latency_breakdown --trace "$trace_out" >/dev/null
-  python3 - "$trace_out" <<'EOF'
+  tdir=$(mktemp -d -t ibc_trace_XXXXXX)
+  (cd "$tdir" && "$repo/build/bench/bench_fig12_latency_breakdown" \
+    --trace trace.json >/dev/null)
+  python3 - "$tdir/trace.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     trace = json.load(f)
@@ -142,20 +170,19 @@ assert any(e["ph"] == "X" and e["name"] == "queue_wait" for e in events), \
     "missing rpc queue_wait spans"
 print(f"trace OK: {len(events)} events parse, packet + queue_wait spans present")
 EOF
-  rm -f "$trace_out" "$trace_out.metrics.csv"
+  rm -rf "$tdir"
   phase_ok
 
   phase "cache-ablation smoke: cache-off byte-exact, cache-on trace parses"
   cmake --build build -j --target bench_ablation_cached_relayer
-  smoke_csv=$(mktemp -t ibc_ablation_XXXXXX.csv)
-  smoke_trace=$(mktemp -t ibc_ablation_XXXXXX.json)
-  ./build/bench/bench_ablation_cached_relayer --smoke \
-    --csv "$smoke_csv" --trace "$smoke_trace" >/dev/null
+  adir=$(mktemp -d -t ibc_ablation_XXXXXX)
+  (cd "$adir" && "$repo/build/bench/bench_ablation_cached_relayer" --smoke \
+    --trace trace.json >/dev/null)
   # The cache-off rows are the paper-faithful default path: any byte drift
   # from the committed golden means default relayer behaviour changed.
-  diff bench/golden/ablation_cached_smoke.csv "$smoke_csv"
+  diff bench/golden/ablation_cached_smoke.csv "$adir/ablation_cached_relayer.csv"
   echo "ablation smoke CSV byte-identical to bench/golden/ablation_cached_smoke.csv"
-  python3 - "$smoke_trace" <<'EOF'
+  python3 - "$adir/trace.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     trace = json.load(f)
@@ -164,31 +191,35 @@ hits = [e for e in events if e.get("ph") == "X" and e["name"].startswith("hit_")
 assert hits, "missing query_cache hit spans in cache-on trace"
 print(f"ablation trace OK: {len(events)} events parse, {len(hits)} query_cache hit spans")
 EOF
-  rm -f "$smoke_csv" "$smoke_trace" "$smoke_trace.metrics.csv"
+  rm -rf "$adir"
   phase_ok
 
   phase "bench reports: schema + self-compare + same-seed + perturbed"
-  cmake --build build -j --target bench_ablation_cached_relayer bench_compare
+  cmake --build build -j --target bench_ablation_cached_relayer bench_compare \
+    bench_table_gas_usage
   jdir=$(mktemp -d -t ibc_json_XXXXXX)
-  ./build/bench/bench_ablation_cached_relayer --smoke \
-    --csv "$jdir/a.csv" --json "$jdir/BENCH_a.json" >/dev/null
-  ./build/bench/bench_ablation_cached_relayer --smoke \
-    --csv "$jdir/b.csv" --json "$jdir/BENCH_b.json" >/dev/null
+  for run in a b; do
+    mkdir "$jdir/$run"
+    (cd "$jdir/$run" && "$repo/build/bench/bench_ablation_cached_relayer" \
+      --smoke --json >/dev/null)
+  done
+  ja="$jdir/a/BENCH_ablation_cached_relayer.json"
+  jb="$jdir/b/BENCH_ablation_cached_relayer.json"
   # Every emitted report (the fresh pair plus anything cached from a full
   # bench run) must satisfy schema v1.
   cached_reports=$(ls bench_results/BENCH_*.json 2>/dev/null || true)
   # shellcheck disable=SC2086
-  python3 tools/bench_report_schema.py "$jdir/BENCH_a.json" "$jdir/BENCH_b.json" $cached_reports
+  python3 tools/bench_report_schema.py "$ja" "$jb" $cached_reports
   # Self-compare: a report diffed against itself must be clean (exit 0).
-  ./build/tools/bench_compare "$jdir/BENCH_a.json" "$jdir/BENCH_a.json" >/dev/null
+  ./build/tools/bench_compare "$ja" "$ja" >/dev/null
   echo "self-compare clean"
   # Two independent same-seed runs: the virtual sections must match exactly
   # (the determinism contract); host time gets a generous noise band.
-  ./build/tools/bench_compare --noise 10 "$jdir/BENCH_a.json" "$jdir/BENCH_b.json"
+  ./build/tools/bench_compare --noise 10 "$ja" "$jb"
   # Surface the peak-RSS delta explicitly: memory regressions hide inside
   # the blanket noise band above, so print the numbers where CI logs show
   # them even when the compare passes.
-  python3 - "$jdir/BENCH_a.json" "$jdir/BENCH_b.json" <<'EOF'
+  python3 - "$ja" "$jb" <<'EOF'
 import json, sys
 rss = []
 for path in sys.argv[1:3]:
@@ -199,7 +230,7 @@ print(f"peak RSS: {rss[0] / 2**20:.1f} MiB vs {rss[1] / 2**20:.1f} MiB "
       f"({delta:+.1f}%)")
 EOF
   # A perturbed virtual cell must be caught as drift (exit 2).
-  python3 - "$jdir/BENCH_a.json" "$jdir/BENCH_perturbed.json" <<'EOF'
+  python3 - "$ja" "$jdir/BENCH_perturbed.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
@@ -207,7 +238,7 @@ doc["virtual"]["points"][0][2] = "999.99"
 with open(sys.argv[2], "w") as f:
     json.dump(doc, f)
 EOF
-  if ./build/tools/bench_compare "$jdir/BENCH_a.json" "$jdir/BENCH_perturbed.json" >/dev/null; then
+  if ./build/tools/bench_compare "$ja" "$jdir/BENCH_perturbed.json" >/dev/null; then
     echo "ERROR: bench_compare accepted a perturbed virtual section"
     exit 1
   else
@@ -223,25 +254,37 @@ EOF
   fi
   ./build/bench/bench_ablation_cached_relayer --help | grep -q -- "--json" \
     || { echo "ERROR: --help does not list --json"; exit 1; }
-  echo "strict flag parsing OK (unknown flag rejected, --help lists flags)"
+  # A scenario bench has no first experiment to instrument, so --trace must
+  # be a usage error (exit 1), not a silent no-op.
+  rc=0
+  (cd "$jdir" && "$repo/build/bench/bench_table_gas_usage" --trace t.json) \
+    >/dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 1 ] || {
+    echo "ERROR: bench_table_gas_usage --trace: expected usage exit 1, got $rc"
+    exit 1; }
+  echo "strict flag parsing OK (unknown flag and scenario-bench --trace" \
+    "rejected, --help lists flags)"
   rm -rf "$jdir"
   phase_ok
 
   phase "bench_scale smoke: 10^5 tier, schema + same-seed identity + RSS"
   cmake --build build -j --target bench_scale_transfers bench_compare
   sdir=$(mktemp -d -t ibc_scale_XXXXXX)
-  ./build/bench/bench_scale_transfers --smoke \
-    --csv "$sdir/a.csv" --json "$sdir/BENCH_a.json" >/dev/null
-  ./build/bench/bench_scale_transfers --smoke \
-    --csv "$sdir/b.csv" --json "$sdir/BENCH_b.json" >/dev/null
-  python3 tools/bench_report_schema.py "$sdir/BENCH_a.json" "$sdir/BENCH_b.json"
+  for run in a b; do
+    mkdir "$sdir/$run"
+    (cd "$sdir/$run" && "$repo/build/bench/bench_scale_transfers" --smoke \
+      --json >/dev/null)
+  done
+  python3 tools/bench_report_schema.py "$sdir/a/BENCH_scale_transfers.json" \
+    "$sdir/b/BENCH_scale_transfers.json"
   # Same-seed byte-identity of the result table (open-loop workload,
   # Zipf sampler and bulk genesis are all on this path).
-  diff "$sdir/a.csv" "$sdir/b.csv"
+  diff "$sdir/a/scale_transfers.csv" "$sdir/b/scale_transfers.csv"
   echo "scale smoke CSV byte-identical across two same-seed runs"
-  ./build/tools/bench_compare --noise 10 "$sdir/BENCH_a.json" "$sdir/BENCH_b.json"
+  ./build/tools/bench_compare --noise 10 "$sdir/a/BENCH_scale_transfers.json" \
+    "$sdir/b/BENCH_scale_transfers.json"
   # Surface the tier's host-side scaling numbers in the CI log.
-  python3 - "$sdir/BENCH_a.json" <<'EOF'
+  python3 - "$sdir/a/BENCH_scale_transfers.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     tiers = json.load(f)["host"]["scale_tiers"]
@@ -259,8 +302,8 @@ EOF
   # sanitized, and the bench's own self-checks must pass.
   cmake --build build-asan -j --target bench_ablation_mitigations
   mdir=$(mktemp -d -t ibc_mitig_XXXXXX)
-  ./build-asan/bench/bench_ablation_mitigations --smoke --csv "$mdir/asan.csv" \
-    >/dev/null
+  (cd "$mdir" && "$repo/build-asan/bench/bench_ablation_mitigations" --smoke \
+    >/dev/null)
   echo "ablation-matrix smoke passed under ASan+UBSan"
   # Two-relayer coordination regression, worker-pool determinism and the
   # indexed-equivalence property under TSan (the worker pool and the
@@ -276,11 +319,13 @@ EOF
   # seed-deterministic, so any drift (exit 2) is a behaviour change in a
   # mitigation path; host-time noise across machines only warns (exit 1).
   cmake --build build -j --target bench_ablation_mitigations bench_compare
-  ./build/bench/bench_ablation_mitigations --smoke --csv "$mdir/fresh.csv" \
-    --json "$mdir/BENCH_fresh.json" >/dev/null
+  mkdir "$mdir/fresh"
+  (cd "$mdir/fresh" && "$repo/build/bench/bench_ablation_mitigations" --smoke \
+    --json >/dev/null)
   rc=0
   ./build/tools/bench_compare --noise 10 \
-    bench/baselines/BENCH_ablation_mitigations.json "$mdir/BENCH_fresh.json" || rc=$?
+    bench/baselines/BENCH_ablation_mitigations.json \
+    "$mdir/fresh/BENCH_ablation_mitigations.json" || rc=$?
   if [ "$rc" -ge 2 ]; then
     echo "ERROR: mitigation smoke report drifted from bench/baselines (rc=$rc)"
     exit 1
@@ -295,8 +340,7 @@ EOF
   # the bench's own self-checks all run sanitized.
   cmake --build build-asan -j --target bench_mesh_routing
   xdir=$(mktemp -d -t ibc_mesh_XXXXXX)
-  ./build-asan/bench/bench_mesh_routing --smoke --csv "$xdir/asan.csv" \
-    >/dev/null
+  (cd "$xdir" && "$repo/build-asan/bench/bench_mesh_routing" --smoke >/dev/null)
   echo "mesh-routing smoke passed under ASan+UBSan"
   # Multi-hop forwarding under TSan with a parallel fuzz sweep: the per-hop
   # relayer fleet and the threaded runner race against each other.
@@ -310,11 +354,13 @@ EOF
   # Fresh smoke report vs the committed reference: seed-deterministic
   # virtual sections, so drift (exit 2) is a routing behaviour change.
   cmake --build build -j --target bench_mesh_routing bench_compare
-  ./build/bench/bench_mesh_routing --smoke --csv "$xdir/fresh.csv" \
-    --json "$xdir/BENCH_fresh.json" >/dev/null
+  mkdir "$xdir/fresh"
+  (cd "$xdir/fresh" && "$repo/build/bench/bench_mesh_routing" --smoke \
+    --json >/dev/null)
   rc=0
   ./build/tools/bench_compare --noise 10 \
-    bench/baselines/BENCH_mesh_routing.json "$xdir/BENCH_fresh.json" || rc=$?
+    bench/baselines/BENCH_mesh_routing.json \
+    "$xdir/fresh/BENCH_mesh_routing.json" || rc=$?
   if [ "$rc" -ge 2 ]; then
     echo "ERROR: mesh-routing smoke report drifted from bench/baselines (rc=$rc)"
     exit 1
@@ -322,8 +368,9 @@ EOF
   [ "$rc" -eq 1 ] && echo "note: host-time noise vs baseline (expected across machines)"
   # Mesh runs go through the one run driver, so the observability flags
   # must write their artifacts (the first point is a two-hop route).
-  ./build/bench/bench_mesh_routing --smoke --csv "$xdir/obs.csv" \
-    --series "$xdir/mesh.series.csv" --trace "$xdir/mesh.trace.json" >/dev/null
+  mkdir "$xdir/obs"
+  (cd "$xdir/obs" && "$repo/build/bench/bench_mesh_routing" --smoke \
+    --series "$xdir/mesh.series.csv" --trace "$xdir/mesh.trace.json" >/dev/null)
   [ -s "$xdir/mesh.series.csv" ] && [ -s "$xdir/mesh.trace.json" ] || {
     echo "ERROR: bench_mesh_routing --series/--trace wrote no artifacts"; exit 1; }
   echo "mesh-routing --series and --trace artifacts written"
@@ -339,8 +386,7 @@ EOF
     -R 'SeriesDeterminism|PlantedAnomaly|CampaignFlightDump')
   # Planted invariant violation -> the run must auto-dump a flight record
   # that tools/run_report parses and renders end to end.
-  cmake --build build -j --target fuzz_scenarios run_report \
-    bench_fig8_relayer_throughput
+  cmake --build build -j --target fuzz_scenarios run_report bench_relayer
   odir=$(mktemp -d -t ibc_obs_XXXXXX)
   ./build/src/check/fuzz_scenarios --campaign=client-expiry --blocks=300 \
     --mutate=skip-expiry-check --expect-violation \
@@ -353,15 +399,17 @@ EOF
   grep -q 'campaign-phase:' "$odir/expiry.md"
   echo "flight dump renders: $(wc -l < "$odir/expiry.md") markdown lines"
   # --series at two worker counts must be byte-identical, and with --json
-  # the report grows a virtual.series section the schema validator accepts.
-  ./build/bench/bench_fig8_relayer_throughput --reps 1 --jobs 1 \
-    --series "$odir/s1.csv" --json "$odir/BENCH_series.json" >/dev/null
-  ./build/bench/bench_fig8_relayer_throughput --reps 1 --jobs 4 \
-    --series "$odir/s4.csv" >/dev/null
+  # every view's report grows a virtual.series section the schema validator
+  # accepts.
+  mkdir "$odir/j1" "$odir/j4" "$odir/on" "$odir/off"
+  (cd "$odir/j1" && "$repo/build/bench/bench_relayer" --reps 1 --jobs 1 \
+    --series "$odir/s1.csv" --json >/dev/null)
+  (cd "$odir/j4" && "$repo/build/bench/bench_relayer" --reps 1 --jobs 4 \
+    --series "$odir/s4.csv" >/dev/null)
   diff "$odir/s1.csv" "$odir/s4.csv"
   echo "series CSV byte-identical at --jobs 1 vs --jobs 4"
-  python3 tools/bench_report_schema.py "$odir/BENCH_series.json"
-  python3 - "$odir/BENCH_series.json" <<'EOF'
+  python3 tools/bench_report_schema.py "$odir"/j1/BENCH_*.json
+  python3 - "$odir/j1/BENCH_fig8_relayer_throughput.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 series = doc["virtual"]["series"]
@@ -372,18 +420,18 @@ print(f"series section OK: {series['samples']} samples, "
 EOF
   # The compile-time kill switch: an -DIBC_TELEMETRY=OFF build must stay
   # green (unit suites for the pillar's passive classes included) and its
-  # default bench CSV must be byte-identical to the instrumented build's.
+  # default bench CSVs must be byte-identical to the instrumented build's.
   cmake -B build-notel -S . -DIBC_TELEMETRY=OFF
-  cmake --build build-notel -j --target bench_fig8_relayer_throughput \
-    test_observability
+  cmake --build build-notel -j --target bench_relayer test_observability
   (cd build-notel && ctest --output-on-failure \
     -R 'FlightRecorder|Watchdog|Sampler')
-  ./build/bench/bench_fig8_relayer_throughput --reps 1 \
-    --csv "$odir/on.csv" >/dev/null
-  ./build-notel/bench/bench_fig8_relayer_throughput --reps 1 \
-    --csv "$odir/off.csv" >/dev/null
-  diff "$odir/on.csv" "$odir/off.csv"
-  echo "default fig8 CSV byte-identical with telemetry compiled out"
+  (cd "$odir/on" && "$repo/build/bench/bench_relayer" --reps 1 >/dev/null)
+  (cd "$odir/off" && "$repo/build-notel/bench/bench_relayer" --reps 1 >/dev/null)
+  for v in fig8_relayer_throughput fig9_two_relayers fig10_completion_one \
+           fig11_completion_two; do
+    diff "$odir/on/$v.csv" "$odir/off/$v.csv"
+  done
+  echo "default fig8-fig11 CSVs byte-identical with telemetry compiled out"
   rm -rf "$odir"
   phase_ok
 
@@ -399,26 +447,26 @@ EOF
   exit 0
 fi
 
+# Every bench runs inside bench_results/, so its <view>.csv, BENCH_<view>.json
+# and other outputs land there and the checkout stays untouched.
 mkdir -p bench_results
-for b in build/bench/*; do
+cd bench_results
+for b in "$repo"/build/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue
   name=$(basename "$b")
-  out="bench_results/$name.txt"
-  # bench_* binaries also emit the machine-readable report; calibrate's
+  out="$name.txt"
+  if [ -s "$out" ] && grep -q "__DONE__" "$out"; then
+    continue
+  fi
+  # bench_* binaries also emit the machine-readable reports; calibrate's
   # output is host-dependent probing with no result table, so it stays
   # text-only.
   json=""
   case "$name" in
-    bench_*) json="bench_results/BENCH_${name#bench_}.json" ;;
+    bench_*) json="--json" ;;
   esac
-  if [ -s "$out" ] && grep -q "__DONE__" "$out" && { [ -z "$json" ] || [ -s "$json" ]; }; then
-    continue
-  fi
   echo "running $name..."
-  if [ -n "$json" ]; then
-    { echo "=== $name ==="; timeout 3000 "$b" --json "$json" 2>/dev/null; echo; echo "__DONE__"; } > "$out"
-  else
-    { echo "=== $name ==="; timeout 3000 "$b" 2>/dev/null; echo; echo "__DONE__"; } > "$out"
-  fi
+  # shellcheck disable=SC2086
+  { echo "=== $name ==="; timeout 3000 "$b" $json 2>/dev/null; echo; echo "__DONE__"; } > "$out"
 done
 echo "all benches complete"
