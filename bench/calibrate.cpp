@@ -97,7 +97,14 @@ void fig6_report(double rps, const xcc::ExperimentResult& res) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Options opt = bench::parse_options(argc, argv);
+  // Prints its probes and writes no files: no --trace/--series/--flight
+  // target (instrumented = false) and no report for --json.
+  const bench::Options opt =
+      bench::parse_options(argc, argv, {}, /*instrumented=*/false);
+  if (opt.json) {
+    std::cerr << "calibrate writes no report: --json is not supported\n";
+    return 1;
+  }
   std::cout << "-- calibration probes (" << bench::jobs_or_default(opt)
             << " worker(s)) --\n";
 

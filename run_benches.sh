@@ -196,7 +196,7 @@ EOF
 
   phase "bench reports: schema + self-compare + same-seed + perturbed"
   cmake --build build -j --target bench_ablation_cached_relayer bench_compare \
-    bench_table_gas_usage
+    bench_table_gas_usage calibrate
   jdir=$(mktemp -d -t ibc_json_XXXXXX)
   for run in a b; do
     mkdir "$jdir/$run"
@@ -262,8 +262,19 @@ EOF
   [ "$rc" -eq 1 ] || {
     echo "ERROR: bench_table_gas_usage --trace: expected usage exit 1, got $rc"
     exit 1; }
-  echo "strict flag parsing OK (unknown flag and scenario-bench --trace" \
-    "rejected, --help lists flags)"
+  # calibrate only prints its probes: every output flag is a usage error.
+  for flag in "--json" "--trace t.json" "--series s.csv" "--flight f.json"; do
+    rc=0
+    # Unquoted: "--flag value" splits into two words.
+    # shellcheck disable=SC2086
+    (cd "$jdir" && "$repo/build/bench/calibrate" $flag) >/dev/null 2>&1 \
+      || rc=$?
+    [ "$rc" -eq 1 ] || {
+      echo "ERROR: calibrate $flag: expected usage exit 1, got $rc"
+      exit 1; }
+  done
+  echo "strict flag parsing OK (unknown flag, scenario-bench --trace and" \
+    "calibrate output flags rejected, --help lists flags)"
   rm -rf "$jdir"
   phase_ok
 

@@ -132,6 +132,9 @@ void KvStore::maybe_compact() {
   remap_list(sorted_);
   remap_list(unsorted_);
   sorted_dead_ = 0;
+  for (WriteSet::Rec& r : open_.recs_) {
+    if (r.entry != kNoEntry) r.entry = remap[r.entry];
+  }
   grow_index(index_.size());
 }
 
@@ -213,6 +216,87 @@ void KvStore::journal_record(const std::string& key) {
   }
 }
 
+void KvStore::record_write(std::string_view key, std::uint32_t idx,
+                           std::optional<util::BytesView> before) {
+  entries_[idx].written = true;
+  WriteSet::Rec r{};
+  r.entry = idx;
+  r.key_off = static_cast<std::uint32_t>(open_.keys_.size());
+  r.key_len = static_cast<std::uint32_t>(key.size());
+  open_.keys_.append(key);
+  r.had_before = before.has_value();
+  if (before) {
+    r.before_off = static_cast<std::uint32_t>(open_.values_.size());
+    r.before_len = static_cast<std::uint32_t>(before->size());
+    open_.values_.insert(open_.values_.end(), before->begin(), before->end());
+  }
+  open_.recs_.push_back(r);
+}
+
+void KvStore::close_write_set() {
+  telemetry::ProfileScope prof(telemetry::ProfileKey::kKvStore);
+  WriteSet& out = closed_;
+  out.complete_ = recording_;
+  out.keys_.clear();
+  out.values_.clear();
+  out.recs_.clear();
+  const auto append_value = [&out](util::BytesView v, std::uint32_t& off,
+                                   std::uint32_t& len) {
+    off = static_cast<std::uint32_t>(out.values_.size());
+    len = static_cast<std::uint32_t>(v.size());
+    out.values_.insert(out.values_.end(), v.begin(), v.end());
+  };
+  for (const WriteSet::Rec& r : open_.recs_) {
+    const std::string_view key(open_.keys_.data() + r.key_off, r.key_len);
+    const util::BytesView before(open_.values_.data() + r.before_off,
+                                 r.before_len);
+    std::optional<util::BytesView> after;
+    // A live entry is the key's only one; after an erase, look the key up.
+    std::uint32_t idx = r.entry;
+    if (idx == kNoEntry || !entries_[idx].live) idx = find_entry(key);
+    if (idx != kNoEntry) {
+      Entry& e = entries_[idx];
+      // Unmarked: an earlier record of this key already cleared the mark.
+      // Later records of a key only arise from re-creation after an erase,
+      // so the first one holds the value as of the last close.
+      if (!e.written) continue;
+      e.written = false;
+      after = value_of(e);
+    }
+    if (r.had_before == after.has_value() &&
+        (!after || std::equal(before.begin(), before.end(), after->begin(),
+                              after->end()))) {
+      continue;  // back to its value at the last close
+    }
+    WriteSet::Rec o{};
+    o.key_off = static_cast<std::uint32_t>(out.keys_.size());
+    o.key_len = r.key_len;
+    out.keys_.append(key);
+    o.had_before = r.had_before;
+    if (r.had_before) append_value(before, o.before_off, o.before_len);
+    o.has_after = after.has_value();
+    if (after) append_value(*after, o.after_off, o.after_len);
+    out.recs_.push_back(o);
+  }
+  open_.keys_.clear();
+  open_.values_.clear();
+  open_.recs_.clear();
+  recording_ = true;
+}
+
+KvStore::Write KvStore::WriteSet::operator[](std::size_t i) const {
+  const Rec& r = recs_[i];
+  Write w;
+  w.key = std::string_view(keys_.data() + r.key_off, r.key_len);
+  if (r.had_before) {
+    w.before = util::BytesView(values_.data() + r.before_off, r.before_len);
+  }
+  if (r.has_after) {
+    w.after = util::BytesView(values_.data() + r.after_off, r.after_len);
+  }
+  return w;
+}
+
 void KvStore::set(const std::string& key, util::Bytes value) {
   telemetry::ProfileScope prof(telemetry::ProfileKey::kKvStore);
   journal_record(key);
@@ -224,6 +308,7 @@ void KvStore::set(const std::string& key, util::Bytes value) {
   std::uint32_t idx = index_[bucket];
   if (idx != kNoEntry) {
     Entry& e = entries_[idx];
+    if (recording_ && !e.written) record_write(key, idx, value_of(e));
     xor_into_root(e.hash);  // remove old contribution, no rehash
     assign_value(e, std::move(value));
     e.hash = entry_hash(key, value_of(e));
@@ -240,6 +325,7 @@ void KvStore::set(const std::string& key, util::Bytes value) {
   assign_value(e, std::move(value));
   e.hash = entry_hash(key, value_of(e));
   entries_.push_back(std::move(e));
+  if (recording_) record_write(key, idx, std::nullopt);
   index_[bucket] = idx;
   unsorted_.push_back(idx);
   ++live_count_;
@@ -254,6 +340,7 @@ void KvStore::erase(const std::string& key) {
   const std::uint32_t idx = index_[bucket];
   if (idx == kNoEntry) return;
   Entry& e = entries_[idx];
+  if (recording_ && !e.written) record_write(key, idx, value_of(e));
   xor_into_root(e.hash);
   e.live = false;
   e.spill = util::Bytes();

@@ -17,6 +17,11 @@
 // Ordered prefix scans run over a lazily maintained sorted view of the entry
 // indices. The bytes fed to the set-hash are identical to the historical
 // std::map layout, so roots, proofs and golden traces are unchanged.
+//
+// Write-set: every close_write_set() (the app calls it at each block commit)
+// publishes the keys whose value changed since the previous close, with
+// their values before and after. Consumers such as the invariant checker
+// advance per-block models in O(writes) instead of rescanning the state.
 
 #include <array>
 #include <cstdint>
@@ -78,6 +83,16 @@ class KvStore {
   };
   PrefixIter scan_prefix(std::string_view prefix) const;
 
+  /// Visits every live entry as fn(key, value), in no particular order and
+  /// without building the sorted view: for full sweeps whose result does
+  /// not depend on order. The store must not be mutated during the visit.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Entry& e : entries_) {
+      if (e.live) fn(key_of(e), value_of(e));
+    }
+  }
+
   std::size_t size() const { return live_count_; }
 
   /// Pre-sizes the entry arena, hash index and key arena for an expected
@@ -99,6 +114,46 @@ class KvStore {
   void revert_tx();
   bool in_tx() const { return journaling_; }
 
+  // --- per-commit write-set ---------------------------------------------
+  /// One key whose value differs between two consecutive closes.
+  struct Write {
+    std::string_view key;
+    std::optional<util::BytesView> before;  // nullopt: absent at the older
+    std::optional<util::BytesView> after;   // nullopt: absent at the newer
+  };
+
+  /// The diff between the last two close_write_set() calls, in first-write
+  /// order. Keys written back to their earlier value (reverted txs, set to
+  /// the same bytes, created then erased) are not in it. Reading does not
+  /// consume it: it stays readable, unchanged, until the next close.
+  class WriteSet {
+   public:
+    /// False until the store has been closed twice: the first close has no
+    /// earlier commit to diff against (genesis state is not recorded).
+    bool complete() const { return complete_; }
+    std::size_t size() const { return recs_.size(); }
+    Write operator[](std::size_t i) const;
+
+   private:
+    friend class KvStore;
+    struct Rec {
+      std::uint32_t key_off, key_len;
+      std::uint32_t before_off, before_len;
+      std::uint32_t after_off, after_len;
+      std::uint32_t entry;  // open interval: the entry written
+      bool had_before, has_after;
+    };
+    bool complete_ = false;
+    std::string keys_;
+    util::Bytes values_;
+    std::vector<Rec> recs_;
+  };
+
+  /// Ends the current write interval: publishes its net changes as
+  /// write_set() and starts recording the next interval.
+  void close_write_set();
+  const WriteSet& write_set() const { return closed_; }
+
  private:
   static constexpr std::uint32_t kNoEntry = 0xffffffffu;
   /// Values up to this many bytes live inline in the entry (covers u64
@@ -110,6 +165,7 @@ class KvStore {
     std::uint32_t key_len = 0;
     std::uint32_t val_len = 0;
     bool live = false;
+    bool written = false;  // key already recorded in the open write interval
     std::uint64_t key_hash = 0;
     std::array<std::uint8_t, kInlineValue> inline_val{};
     util::Bytes spill;  // value bytes when val_len > kInlineValue
@@ -143,6 +199,10 @@ class KvStore {
   void ensure_sorted() const;
 
   void journal_record(const std::string& key);
+  /// First write to entry `idx`'s key in the open interval: marks the entry
+  /// and records the key's value as of the last close (nullopt: new key).
+  void record_write(std::string_view key, std::uint32_t idx,
+                    std::optional<util::BytesView> before);
 
   std::vector<Entry> entries_;
   std::string key_arena_;
@@ -165,6 +225,16 @@ class KvStore {
   };
   bool journaling_ = false;
   std::vector<UndoEntry> journal_;
+
+  // Open write interval: one record per key first written since the last
+  // close, with that key's value then. A key erased and re-created within
+  // the interval gets a second record (the re-created entry is unmarked);
+  // close_write_set() keeps the first. Keys are copied and entry indices
+  // follow compaction, so it cannot strand a record. Off until the first
+  // close.
+  bool recording_ = false;
+  WriteSet open_;
+  WriteSet closed_;
 };
 
 /// Verifies a proof against an expected root (e.g. the app_hash a light

@@ -1,6 +1,7 @@
 #include "check/invariant.hpp"
 
 #include <cstdlib>
+#include <iterator>
 
 #include "ibc/client.hpp"
 #include "ibc/connection.hpp"
@@ -19,37 +20,58 @@ namespace {
 struct PacketRef {
   ibc::Sequence sequence = 0;
   std::string src_port, src_channel, dst_port, dst_channel;
-  std::string data;  // "" when the event omits it
+  std::string_view data;  // into the event; "" when the event omits it
 };
 
 bool parse_packet_event(const chain::Event& ev, PacketRef& out) {
-  const std::string seq = ev.attribute("packet_sequence");
-  if (seq.empty()) return false;
+  // One pass over the attributes (send_packet alone fires once per
+  // transfer); as with Event::attribute, the first occurrence of a key wins.
+  static constexpr std::string_view kKeys[] = {
+      "packet_sequence", "packet_src_port",    "packet_src_channel",
+      "packet_dst_port", "packet_dst_channel", "packet_data"};
+  const std::string* found[std::size(kKeys)] = {};
+  for (const auto& [key, value] : ev.attributes) {
+    for (std::size_t i = 0; i < std::size(kKeys); ++i) {
+      if (found[i] == nullptr && key == kKeys[i]) {
+        found[i] = &value;
+        break;
+      }
+    }
+  }
+  const auto field = [&found](std::size_t i) -> std::string_view {
+    return found[i] != nullptr ? std::string_view(*found[i]) : "";
+  };
+  if (field(0).empty()) return false;
   char* end = nullptr;
-  out.sequence = std::strtoull(seq.c_str(), &end, 10);
+  out.sequence = std::strtoull(found[0]->c_str(), &end, 10);
   if (end == nullptr || *end != '\0') return false;
-  out.src_port = ev.attribute("packet_src_port");
-  out.src_channel = ev.attribute("packet_src_channel");
-  out.dst_port = ev.attribute("packet_dst_port");
-  out.dst_channel = ev.attribute("packet_dst_channel");
-  out.data = ev.attribute("packet_data");
+  out.src_port = field(1);
+  out.src_channel = field(2);
+  out.dst_port = field(3);
+  out.dst_channel = field(4);
+  out.data = field(5);
   return !out.src_port.empty() && !out.src_channel.empty() &&
          !out.dst_port.empty() && !out.dst_channel.empty();
 }
 
-bool parse_transfer_data(const std::string& raw,
+bool parse_transfer_data(std::string_view raw,
                          ibc::FungibleTokenPacketData& out) {
-  const util::Bytes bytes = util::to_bytes(raw);
-  return ibc::FungibleTokenPacketData::from_json(bytes, out);
+  return ibc::FungibleTokenPacketData::from_json(
+      util::BytesView(reinterpret_cast<const std::uint8_t*>(raw.data()),
+                      raw.size()),
+      out);
 }
 
 /// True when a trace path re-enters the channel it came from (the ICS-20
 /// "returning" test: burn-on-send / unescrow-on-recv).
-bool is_returning(const std::string& denom_path, const std::string& port,
-                  const std::string& channel) {
-  const std::string prefix = port + "/" + channel + "/";
-  return denom_path.size() > prefix.size() &&
-         denom_path.compare(0, prefix.size(), prefix) == 0;
+bool is_returning(std::string_view denom_path, std::string_view port,
+                  std::string_view channel) {
+  // Prefix "<port>/<channel>/", matched piecewise (runs once per send).
+  const std::size_t n = port.size() + channel.size() + 2;
+  return denom_path.size() > n && denom_path.starts_with(port) &&
+         denom_path[port.size()] == '/' &&
+         denom_path.substr(port.size() + 1).starts_with(channel) &&
+         denom_path[n - 1] == '/';
 }
 
 /// The denom a trace path is held under locally: the base denom at the
@@ -63,7 +85,63 @@ std::string chan_str(const std::string& port, const std::string& channel) {
   return port + "/" + channel;
 }
 
+// Store prefixes the store model follows. Balance keys are
+// "bank/bal/<addr>|<denom>", channel ends
+// "ibc/channelEnds/ports/<port>/channels/<channel>", client states
+// "ibc/clients/<client>/clientState".
+constexpr std::string_view kBalancePrefix = "bank/bal/";
+constexpr std::string_view kSupplyPrefix = "bank/supply/";
+constexpr std::string_view kChannelEndPrefix = "ibc/channelEnds/ports/";
+constexpr std::string_view kClientPrefix = "ibc/clients/";
+constexpr std::string_view kClientStateSuffix = "/clientState";
+
+/// A balance as BankKeeper stores it (8-byte big-endian u64); absent or
+/// other-sized values count 0.
+std::uint64_t stored_amount(const std::optional<util::BytesView>& v) {
+  return v && v->size() == 8 ? util::read_u64_be(*v, 0) : 0;
+}
+
 }  // namespace
+
+void InvariantChecker::StoreModel::apply(
+    std::string_view key, const std::optional<util::BytesView>& before,
+    const std::optional<util::BytesView>& after) {
+  if (key.starts_with(kBalancePrefix)) {
+    const std::size_t sep = key.find('|', kBalancePrefix.size());
+    if (sep == std::string_view::npos) return;
+    // Wrapping u64, like summing the balances afresh.
+    bank_sums[std::string(key.substr(sep + 1))] +=
+        stored_amount(after) - stored_amount(before);
+  } else if (key.starts_with(kSupplyPrefix)) {
+    bank_sums.try_emplace(std::string(key.substr(kSupplyPrefix.size())), 0);
+  } else if (key.starts_with(kChannelEndPrefix)) {
+    const std::size_t marker = key.find("/channels/", kChannelEndPrefix.size());
+    if (marker == std::string_view::npos) return;
+    if (!after) {
+      channel_ends.erase(std::string(key));
+      return;
+    }
+    channel_ends.try_emplace(
+        std::string(key),
+        std::string(key.substr(kChannelEndPrefix.size(),
+                               marker - kChannelEndPrefix.size())),
+        std::string(key.substr(marker + 10)));
+  } else if (key.starts_with(kClientPrefix)) {
+    // Consensus-state entries share the prefix.
+    if (key.size() <= kClientPrefix.size() + kClientStateSuffix.size() ||
+        !key.ends_with(kClientStateSuffix)) {
+      return;
+    }
+    if (!after) {
+      clients.erase(std::string(key));
+      return;
+    }
+    clients.try_emplace(
+        std::string(key),
+        key.substr(kClientPrefix.size(), key.size() - kClientPrefix.size() -
+                                             kClientStateSuffix.size()));
+  }
+}
 
 std::string Violation::to_string() const {
   return "[" + chain + " @" + std::to_string(height) + "] " + invariant +
@@ -182,10 +260,81 @@ void InvariantChecker::on_block(
     if (!res.status.is_ok()) continue;  // failed txs mutate nothing
     process_events(c, height, res.events);
   }
+  advance_model(c);
   check_channel_counters(c, height);
   check_client_heights(c, height);
   check_bank_conservation(c, height);
   check_escrow_model(c, height);
+}
+
+InvariantChecker::StoreModel InvariantChecker::sweep_store(
+    const ChainState& c) const {
+  // Order-free: the sums commute and the maps order themselves, so the
+  // sweep needs no sorted view of the store.
+  StoreModel m;
+  c.h.app->store().for_each(
+      [&m](std::string_view key, util::BytesView value) {
+        m.apply(key, std::nullopt, value);
+      });
+  return m;
+}
+
+void InvariantChecker::advance_model(ChainState& c) {
+  const chain::KvStore::WriteSet& writes = c.h.app->store().write_set();
+  if (!c.seeded || !writes.complete()) {
+    c.model = sweep_store(c);
+    c.seeded = true;
+    return;
+  }
+  for (std::size_t i = 0; i < writes.size(); ++i) {
+    const chain::KvStore::Write w = writes[i];
+    c.model.apply(w.key, w.before, w.after);
+  }
+}
+
+std::size_t InvariantChecker::cross_check() {
+  std::size_t drifts = 0;
+  for (ChainState& c : chains_) {
+    if (!c.seeded) continue;
+    const StoreModel fresh = sweep_store(c);
+    const chain::Height height = c.h.app->current_height();
+    const auto drift = [&](const std::string& detail) {
+      ++drifts;
+      fail(c.h.id, height, "checker-drift", detail);
+    };
+    for (const auto& [denom, sum] : fresh.bank_sums) {
+      const auto it = c.model.bank_sums.find(denom);
+      if (it == c.model.bank_sums.end()) {
+        drift("denom " + denom + " missing from the incremental model");
+      } else if (it->second != sum) {
+        drift("denom " + denom + ": incremental balance sum " +
+              std::to_string(it->second) + ", sweep " + std::to_string(sum));
+      }
+    }
+    for (const auto& [denom, sum] : c.model.bank_sums) {
+      if (sum != 0 && !fresh.bank_sums.contains(denom)) {
+        drift("denom " + denom + ": incremental balance sum " +
+              std::to_string(sum) + ", sweep finds no keys");
+      }
+    }
+    const auto compare_keys = [&](const auto& model, const auto& swept,
+                                  const std::string& what) {
+      for (const auto& [key, value] : swept) {
+        if (!model.contains(key)) {
+          drift(what + " " + key + " missing from the incremental model");
+        }
+      }
+      for (const auto& [key, value] : model) {
+        if (!swept.contains(key)) {
+          drift(what + " " + key +
+                " in the incremental model but not the store");
+        }
+      }
+    };
+    compare_keys(c.model.channel_ends, fresh.channel_ends, "channel end");
+    compare_keys(c.model.clients, fresh.clients, "client state");
+  }
+  return drifts;
 }
 
 void InvariantChecker::process_events(ChainState& c, chain::Height height,
@@ -235,7 +384,9 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
           c.escrow[{ibc::escrow_address(p.src_port, p.src_channel),
                     held_denom(data.denom)}] += data.amount;
         }
-        ch.pending[p.sequence] = std::move(pending);
+        // Sends run in sequence order, so the end is the insertion point.
+        ch.pending.insert_or_assign(ch.pending.end(), p.sequence,
+                                    std::move(pending));
       }
 
     } else if (ev.type == "recv_packet") {
@@ -512,16 +663,8 @@ void InvariantChecker::check_account_sequences(
 void InvariantChecker::check_channel_counters(ChainState& c,
                                               chain::Height height) {
   ibc::ChannelKeeper channels(c.h.app->store());
-  const std::string prefix = "ibc/channelEnds/ports/";
-  for (auto it = c.h.app->store().scan_prefix(prefix); it.next();) {
-    const std::string_view key = it.key();
-    // Key shape: ibc/channelEnds/ports/<port>/channels/<channel>.
-    const std::size_t port_start = prefix.size();
-    const std::size_t marker = key.find("/channels/", port_start);
-    if (marker == std::string_view::npos) continue;
-    const std::string port(key.substr(port_start, marker - port_start));
-    const std::string channel(key.substr(marker + 10));
-
+  for (const auto& [key, ref] : c.model.channel_ends) {
+    const auto& [port, channel] = ref;
     auto end_res = channels.get(port, channel);
     if (!end_res.is_ok()) continue;
     const ibc::ChannelEnd& end = end_res.value();
@@ -603,18 +746,11 @@ void InvariantChecker::check_channel_counters(ChainState& c,
 
 void InvariantChecker::check_client_heights(ChainState& c,
                                             chain::Height height) {
-  const std::string prefix = "ibc/clients/";
-  const std::string suffix = "/clientState";
-  for (auto scan = c.h.app->store().scan_prefix(prefix); scan.next();) {
-    const std::string_view key = scan.key();
-    if (key.size() <= prefix.size() + suffix.size() ||
-        key.compare(key.size() - suffix.size(), suffix.size(), suffix) != 0) {
-      continue;  // consensus-state entries share the prefix
-    }
-    const std::string client(
-        key.substr(prefix.size(), key.size() - prefix.size() - suffix.size()));
+  for (const auto& [key, client] : c.model.clients) {
+    const auto value = c.h.app->store().get_view(key);
+    if (!value) continue;
     ibc::ClientState state;
-    if (!ibc::ClientState::decode(scan.value(), state)) {
+    if (!ibc::ClientState::decode(*value, state)) {
       fail(c.h.id, height, "client-state-decode",
            "client " + client + " state is undecodable");
       continue;
@@ -634,32 +770,9 @@ void InvariantChecker::check_bank_conservation(ChainState& c,
                                                chain::Height height) {
   // Per-chain: for every denom, the sum of balances equals the recorded
   // supply (bank mints/burns maintain the supply; everything else is a
-  // transfer). Balance keys are "bank/bal/<addr>|<denom>".
-  std::map<std::string, std::uint64_t> sums;
-  const std::string bal_prefix = "bank/bal/";
-  for (auto it = c.h.app->store().scan_prefix(bal_prefix); it.next();) {
-    const std::string_view key = it.key();
-    const std::size_t sep = key.find('|', bal_prefix.size());
-    if (sep == std::string_view::npos) continue;
-    const std::string denom(key.substr(sep + 1));
-    // Balances are stored as 8-byte big-endian u64 (BankKeeper); read the
-    // amount straight off the entry instead of re-querying by key.
-    if (it.value().size() == 8) {
-      sums[denom] += util::read_u64_be(it.value(), 0);
-    }
-  }
-  const std::string supply_prefix = "bank/supply/";
-  std::set<std::string> denoms;
-  for (const auto& [denom, sum] : sums) {
-    (void)sum;
-    denoms.insert(denom);
-  }
-  for (auto it = c.h.app->store().scan_prefix(supply_prefix); it.next();) {
-    denoms.insert(std::string(it.key().substr(supply_prefix.size())));
-  }
-  for (const std::string& denom : denoms) {
+  // transfer). The sums are the model's running ones.
+  for (const auto& [denom, sum] : c.model.bank_sums) {
     const std::uint64_t supply = c.h.app->bank().supply(denom);
-    const std::uint64_t sum = sums.count(denom) ? sums[denom] : 0;
     if (supply != sum) {
       fail(c.h.id, height, "bank-conservation",
            "denom " + denom + ": balances sum to " + std::to_string(sum) +

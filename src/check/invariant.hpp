@@ -1,14 +1,24 @@
 #pragma once
 // Runtime IBC invariant checker.
 //
-// Subscribes to both chains' block-commit events and asserts, at every
+// Subscribes to every chain's block-commit events and asserts, at every
 // commit, the safety properties the paper's throughput/latency figures rest
 // on: exactly-once packet delivery (ICS-04), send/recv/ack sequence
 // monotonicity with no gaps (ICS-04), escrow/voucher token conservation
-// across both chains (ICS-20), light-client height monotonicity (ICS-02) and
-// no double-spent account sequence numbers. The simulation is a
-// single-threaded DES and a commit is one atomic event, so inspecting both
-// chains' stores from a commit callback observes a consistent global state.
+// across chains (ICS-20), per-chain bank conservation, light-client height
+// monotonicity (ICS-02) and no double-spent account sequence numbers. The
+// simulation is a single-threaded DES and a commit is one atomic event, so
+// inspecting the stores from a commit callback observes a consistent global
+// state.
+//
+// Per-block cost follows the block, not the chain's state. Packet checks
+// read the block's events; store-derived checks keep a model per chain
+// (running per-denom balance sums, the channel ends and light clients)
+// that one full sweep seeds on the chain's first checked commit and each
+// block's store write-set (chain::KvStore::write_set) then advances.
+// cross_check() re-sweeps and reports any drift between the two; the run
+// drivers (xcc::run_experiment, check::run_scenario) call it once at the
+// end of a run.
 //
 // Wired into xcc::Testbed (opt-out via TestbedConfig::invariant_checks), so
 // every integration test and bench runs under it for free. The fuzzer
@@ -17,9 +27,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,6 +40,7 @@
 #include "consensus/engine.hpp"
 #include "cosmos/app.hpp"
 #include "ibc/channel.hpp"
+#include "util/bytes.hpp"
 
 namespace check {
 
@@ -88,6 +101,12 @@ class InvariantChecker {
   using ViolationHook = std::function<void(const Violation&)>;
   void set_violation_hook(ViolationHook hook) { hook_ = std::move(hook); }
 
+  /// Re-derives every seeded chain's store model (balance sums per denom,
+  /// channel ends, light clients) from a full sweep of its store and
+  /// reports a `checker-drift` violation for each disagreement with the
+  /// incrementally maintained one. Returns the number of disagreements.
+  std::size_t cross_check();
+
   std::uint64_t blocks_checked() const { return blocks_checked_; }
   const std::vector<Violation>& violations() const { return violations_; }
   /// Human-readable list of all recorded violations ("" when clean).
@@ -136,8 +155,27 @@ class InvariantChecker {
     ibc::Sequence snap_send = 0, snap_recv = 0, snap_ack = 0;
   };
 
+  /// Store-derived state the per-block checks walk, in store-key order (so
+  /// their violations come out in key order).
+  struct StoreModel {
+    /// Every denom with a balance or supply key seen since seeding, with
+    /// the wrapping u64 sum of its 8-byte balances (other sizes count 0).
+    std::map<std::string, std::uint64_t> bank_sums;
+    /// Channel-end key -> (port, channel).
+    std::map<std::string, std::pair<std::string, std::string>> channel_ends;
+    /// Client-state key -> client id.
+    std::map<std::string, std::string> clients;
+
+    /// Applies one store write (nullopt = absent) to the model.
+    void apply(std::string_view key,
+               const std::optional<util::BytesView>& before,
+               const std::optional<util::BytesView>& after);
+  };
+
   struct ChainState {
     ChainHandles h;
+    bool seeded = false;  // model holds the state of the last commit
+    StoreModel model;
     /// Keyed by (port, channel).
     std::map<std::pair<std::string, std::string>, ChannelTrack> channels;
     /// Light-client latest heights from the previous commit.
@@ -174,6 +212,12 @@ class InvariantChecker {
                             std::uint64_t amount,
                             const std::string& denom_path,
                             chain::Height height);
+  /// The model a fresh full sweep of `c`'s store yields.
+  StoreModel sweep_store(const ChainState& c) const;
+  /// Seeds `c`'s model by a sweep on its first checked commit, then applies
+  /// each commit's write-set.
+  void advance_model(ChainState& c);
+
   void check_account_sequences(ChainState& c, const chain::Block& block,
                                const std::vector<chain::DeliverTxResult>& res);
   void check_channel_counters(ChainState& c, chain::Height height);

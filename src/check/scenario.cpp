@@ -44,6 +44,12 @@ std::vector<int> scenario_route(const xcc::TopologyConfig& topo) {
 
 ScenarioResult run_scenario(std::uint64_t seed,
                             const ScenarioOptions& options) {
+  return run_scenario(seed, options, [](xcc::Testbed&) {});
+}
+
+ScenarioResult run_scenario(
+    std::uint64_t seed, const ScenarioOptions& options,
+    const std::function<void(xcc::Testbed&)>& on_testbed) {
   ScenarioResult result;
   result.seed = seed;
 
@@ -124,6 +130,7 @@ ScenarioResult run_scenario(std::uint64_t seed,
   // --- Deploy and establish the channels (fault-free: setup is not the
   // subject under test, and a wedged handshake would just time out). -------
   xcc::Testbed tb(tb_cfg);
+  on_testbed(tb);
   const int edges = static_cast<int>(tb_cfg.topology.edges.size());
   const xcc::MeshSetupResult mesh = xcc::establish_mesh(
       tb, sim::seconds(300) + sim::seconds(600) * edges);
@@ -203,6 +210,7 @@ ScenarioResult run_scenario(std::uint64_t seed,
   tb.run_until(tb.scheduler().now() + sim::seconds(100));
 
   for (auto& r : relayer_instances) r->stop();
+  tb.checker()->cross_check();
 
   result.blocks_checked = tb.checker()->blocks_checked();
   result.transfers_requested = workload.stats().requested;

@@ -9,10 +9,15 @@
 // `fuzz_scenarios --seed=S`.
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "check/invariant.hpp"
+
+namespace xcc {
+class Testbed;
+}  // namespace xcc
 
 namespace check {
 
@@ -59,8 +64,15 @@ struct ScenarioResult {
 };
 
 /// Composes and runs the scenario for `seed`. Deterministic: the same seed
-/// and options always produce the same result.
+/// and options always produce the same result. The checker's full-sweep
+/// cross-check runs once at the end, so model drift is reported too.
 ScenarioResult run_scenario(std::uint64_t seed,
                             const ScenarioOptions& options = {});
+
+/// As above, calling `on_testbed` once the Testbed exists, before any chain
+/// starts: block subscribers registered there run after the checker's.
+ScenarioResult run_scenario(
+    std::uint64_t seed, const ScenarioOptions& options,
+    const std::function<void(xcc::Testbed&)>& on_testbed);
 
 }  // namespace check

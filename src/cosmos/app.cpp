@@ -135,6 +135,7 @@ std::vector<chain::Event> CosmosApp::end_block(chain::Height height) {
 }
 
 crypto::Digest CosmosApp::commit() {
+  store_.close_write_set();
   return store_.root();
 }
 

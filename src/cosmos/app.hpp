@@ -81,6 +81,7 @@ class CosmosApp : public chain::App {
   void begin_block(const chain::BlockHeader& header) override;
   chain::DeliverTxResult deliver_tx(const chain::Tx& tx) override;
   std::vector<chain::Event> end_block(chain::Height height) override;
+  /// Closes the store's write-set for this block and returns its root.
   crypto::Digest commit() override;
   sim::Duration execution_cost(const chain::Tx& tx) const override;
 

@@ -11,6 +11,7 @@ namespace {
 bool parse_flat_json(std::string_view s,
                      std::vector<std::pair<std::string, std::string>>& out) {
   out.clear();
+  out.reserve(4);  // the four ICS-20 fields
   std::size_t i = 0;
   auto skip_ws = [&] {
     while (i < s.size() && (s[i] == ' ' || s[i] == '\n' || s[i] == '\t')) ++i;
@@ -82,7 +83,9 @@ util::Bytes FungibleTokenPacketData::to_json() const {
 bool FungibleTokenPacketData::from_json(util::BytesView json,
                                         FungibleTokenPacketData& out) {
   std::vector<std::pair<std::string, std::string>> kv;
-  if (!parse_flat_json(util::to_string(json), kv)) return false;
+  const std::string_view text(reinterpret_cast<const char*>(json.data()),
+                              json.size());
+  if (!parse_flat_json(text, kv)) return false;
   bool has_amount = false, has_denom = false, has_recv = false,
        has_sender = false;
   for (auto& [k, v] : kv) {

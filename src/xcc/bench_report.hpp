@@ -1,8 +1,9 @@
 #pragma once
 // Machine-readable bench reports (BENCH_<name>.json).
 //
-// Every bench binary can emit one versioned JSON report next to its CSV
-// (`--json PATH`, see bench/common.hpp). The document keeps the two time
+// Every bench binary can emit one versioned JSON report per view next to
+// its CSV (`--json` writes BENCH_<view>.json into the working directory, see
+// bench/common.hpp). The document keeps the two time
 // domains the simulator lives in strictly apart:
 //
 //   "virtual" — everything derived from simulated time: the bench's result

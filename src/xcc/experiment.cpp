@@ -416,6 +416,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         d != nullptr ? util::to_hex(crypto::digest_to_bytes(*d)) : "");
   }
   if (tb.checker() != nullptr) {
+    tb.checker()->cross_check();
     result.invariant_violations = tb.checker()->violations().size();
   }
 

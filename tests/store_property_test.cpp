@@ -1,11 +1,13 @@
 // Model-based property tests: the journaled KvStore against a reference
 // std::map model under random operation sequences, including nested
-// begin/commit/revert cycles, plus root-consistency invariants.
+// begin/commit/revert cycles and write-set closes, plus root-consistency
+// invariants.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -65,6 +67,62 @@ void expect_matches_model(const chain::KvStore& store,
   }
 }
 
+using Model = std::map<std::string, util::Bytes>;
+/// key -> (value at the older close, value at the newer), nullopt = absent.
+using Diff = std::map<std::string, std::pair<std::optional<util::Bytes>,
+                                             std::optional<util::Bytes>>>;
+
+Diff model_diff(const Model& before, const Model& after) {
+  Diff d;
+  for (const auto& [k, v] : before) {
+    const auto it = after.find(k);
+    if (it == after.end()) {
+      d[k] = {v, std::nullopt};
+    } else if (it->second != v) {
+      d[k] = {v, it->second};
+    }
+  }
+  for (const auto& [k, v] : after) {
+    if (!before.contains(k)) d[k] = {std::nullopt, v};
+  }
+  return d;
+}
+
+Diff write_set_diff(const chain::KvStore& store, int step) {
+  const auto copy = [](const std::optional<util::BytesView>& v) {
+    return v ? std::optional<util::Bytes>(util::Bytes(v->begin(), v->end()))
+             : std::nullopt;
+  };
+  Diff d;
+  const chain::KvStore::WriteSet& ws = store.write_set();
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    const chain::KvStore::Write w = ws[i];
+    EXPECT_TRUE(
+        d.emplace(std::string(w.key), std::pair(copy(w.before), copy(w.after)))
+            .second)
+        << "step " << step << " key " << w.key << " listed twice";
+  }
+  return d;
+}
+
+/// Sets then erases a few thousand "c/" keys (keeping every 1000th), enough
+/// dead entries to force a store compaction in the middle of the interval.
+void churn_burst(chain::KvStore& store, Model& model, util::Rng& rng) {
+  constexpr int kKeys = 5'000;
+  for (int i = 0; i < kKeys; ++i) {
+    const std::string k = "c/" + std::to_string(i);
+    util::Bytes v = random_value(rng);
+    store.set(k, v);
+    model[k] = std::move(v);
+  }
+  for (int i = 0; i < kKeys; ++i) {
+    if (i % 1'000 == 0) continue;
+    const std::string k = "c/" + std::to_string(i);
+    store.erase(k);
+    model.erase(k);
+  }
+}
+
 class StoreModelProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(StoreModelProperty, RandomOpsMatchReferenceModel) {
@@ -85,30 +143,50 @@ TEST_P(StoreModelProperty, RandomOpsMatchReferenceModel) {
 
   bool in_tx = false;
   std::map<std::string, util::Bytes> model_backup;
+  // Write-set bookkeeping: the model at the last close, and the diff that
+  // close published (it must stay readable, unchanged, until the next).
+  int closes = 0;
+  Model model_at_close;
+  Diff published;
 
   for (int step = 0; step < 400; ++step) {
     const double dice = rng.next_double();
-    if (dice < 0.45) {
+    if (dice < 0.40) {
       const std::string k = random_key(rng);
       const util::Bytes v = random_value(rng);
       store.set(k, v);
       model[k] = v;
-    } else if (dice < 0.65) {
+    } else if (dice < 0.58) {
       const std::string k = random_key(rng);
       store.erase(k);
       model.erase(k);
-    } else if (dice < 0.75 && !in_tx) {
+    } else if (dice < 0.66 && !in_tx) {
       store.begin_tx();
       model_backup = model;
       in_tx = true;
-    } else if (dice < 0.85 && in_tx) {
+    } else if (dice < 0.74 && in_tx) {
       store.commit_tx();
       in_tx = false;
-    } else if (dice < 0.95 && in_tx) {
+    } else if (dice < 0.82 && in_tx) {
       store.revert_tx();
       model = model_backup;
       in_tx = false;
-    } else if (dice < 0.97) {
+    } else if (dice < 0.90 && !in_tx) {
+      // A block commit: the write-set is the diff since the previous one.
+      store.close_write_set();
+      if (++closes == 1) {
+        EXPECT_FALSE(store.write_set().complete());
+        EXPECT_EQ(store.write_set().size(), 0u);
+      } else {
+        ASSERT_TRUE(store.write_set().complete());
+        published = write_set_diff(store, step);
+        EXPECT_EQ(published, model_diff(model_at_close, model))
+            << "step " << step;
+      }
+      model_at_close = model;
+    } else if (dice < 0.91) {
+      churn_burst(store, model, rng);
+    } else if (dice < 0.94) {
       // Proof spot check on a random key (present or absent).
       const std::string k = random_key(rng);
       const chain::StoreProof proof = store.prove(k);
@@ -122,6 +200,9 @@ TEST_P(StoreModelProperty, RandomOpsMatchReferenceModel) {
     }
 
     expect_matches_model(store, model, step);
+    if (closes > 1) {
+      EXPECT_EQ(write_set_diff(store, step), published) << "step " << step;
+    }
 
     // Root is deterministic in contents (order-independent set hash).
     const std::string snap = snapshot();
@@ -181,6 +262,49 @@ TEST(StorePropertyTest, CompactionChurnKeepsModelAndRoot) {
   for (const auto& [k, v] : model) store.erase(k);
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.root(), root_when_empty);
+}
+
+// The write-set cases one at a time: overwrite, create, erase, erase then
+// re-create, a reverted tx and a write back to the committed value.
+TEST(StorePropertyTest, WriteSetIsTheDiffBetweenCommits) {
+  chain::KvStore store;
+  store.set("kept", util::to_bytes("1"));
+  store.set("gone", util::to_bytes("2"));
+  store.set("back", util::to_bytes("3"));
+  store.set("same", util::to_bytes("4"));
+  store.close_write_set();  // genesis: nothing to diff against
+  EXPECT_FALSE(store.write_set().complete());
+
+  store.set("kept", util::to_bytes("10"));
+  store.set("new", util::to_bytes("5"));
+  store.erase("gone");
+  store.erase("back");
+  store.set("back", util::to_bytes("30"));
+  store.set("same", util::to_bytes("4"));
+  store.begin_tx();
+  store.set("reverted", util::to_bytes("6"));
+  store.erase("kept");
+  store.revert_tx();
+  store.set("temp", util::to_bytes("7"));
+  store.erase("temp");
+  store.close_write_set();
+
+  const Diff expected = {
+      {"back", {util::to_bytes("3"), util::to_bytes("30")}},
+      {"gone", {util::to_bytes("2"), std::nullopt}},
+      {"kept", {util::to_bytes("1"), util::to_bytes("10")}},
+      {"new", {std::nullopt, util::to_bytes("5")}},
+  };
+  ASSERT_TRUE(store.write_set().complete());
+  EXPECT_EQ(write_set_diff(store, 0), expected);
+  // Reading does not consume; writes after the close do not leak in.
+  store.set("kept", util::to_bytes("11"));
+  EXPECT_EQ(write_set_diff(store, 0), expected);
+  store.close_write_set();
+  EXPECT_EQ(write_set_diff(store, 0),
+            (Diff{{"kept", {util::to_bytes("10"), util::to_bytes("11")}}}));
+  store.close_write_set();
+  EXPECT_EQ(store.write_set().size(), 0u);
 }
 
 // Journal semantics across erase-heavy transactions: revert must restore
