@@ -97,12 +97,14 @@ void fig6_report(double rps, const xcc::ExperimentResult& res) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Prints its probes and writes no files: no --trace/--series/--flight
-  // target (instrumented = false) and no report for --json.
+  // Prints a fixed probe set and writes no files: no --trace/--series/
+  // --flight target (instrumented = false), no report for --json, and no
+  // sweep for --full or --reps to resize.
   const bench::Options opt =
       bench::parse_options(argc, argv, {}, /*instrumented=*/false);
-  if (opt.json) {
-    std::cerr << "calibrate writes no report: --json is not supported\n";
+  if (opt.json || opt.full || opt.reps > 0) {
+    std::cerr << "calibrate runs a fixed probe set and writes no report: "
+                 "--full, --reps and --json are not supported\n";
     return 1;
   }
   std::cout << "-- calibration probes (" << bench::jobs_or_default(opt)

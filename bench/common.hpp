@@ -10,8 +10,8 @@
 //   --full         run the paper's full sweep (20 executions per point);
 //                  default is a trimmed grid so `for b in build/bench/*`
 //                  finishes quickly
-//   --reps N       override the executions per point
-//   --jobs N       worker threads for the sweep (default: hardware
+//   --reps N       override the executions per point (N >= 1)
+//   --jobs N       worker threads for the sweep, N >= 1 (default: hardware
 //                  concurrency). Every repetition is an independent,
 //                  seed-deterministic simulation, so results — and the CSV —
 //                  are byte-identical for any N.
@@ -45,6 +45,7 @@
 // FlagSpec so parse_options can accept them and list them under --help.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -160,13 +161,24 @@ inline Options parse_options(int argc, char** argv,
       fail("option " + arg + " requires a value");
       return {};
     };
+    // A count that is not a positive integer is a usage error, never a
+    // silent fall back to the default.
+    const auto take_count = [&]() -> int {
+      const std::string v = take_value();
+      int n = 0;
+      const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+      if (ec != std::errc() || end != v.data() + v.size() || n <= 0) {
+        fail("option " + arg + " needs a positive integer, got '" + v + "'");
+      }
+      return n;
+    };
 
     if (arg == "--full") {
       opt.full = true;
     } else if (arg == "--reps") {
-      opt.reps = std::atoi(take_value().c_str());
+      opt.reps = take_count();
     } else if (arg == "--jobs") {
-      opt.jobs = std::atoi(take_value().c_str());
+      opt.jobs = take_count();
     } else if (arg == "--json") {
       // Reports are named after their views; a value here would be
       // silently ignored, so reject it.

@@ -6,7 +6,10 @@
 # re-invoked until everything is done.
 #
 #   ./run_benches.sh            run all benches (cached)
-#   ./run_benches.sh --check    sanitizer passes (TSan over the parallel
+#   ./run_benches.sh --check    a warning-clean build (every target at the
+#                               default build type with -Werror, in a
+#                               temporary directory), sanitizer passes
+#                               (TSan over the parallel
 #                               runner + determinism + telemetry tests, then
 #                               ASan+UBSan over the invariant checker, fuzz
 #                               scenarios and relayer/query-cache regression
@@ -83,6 +86,13 @@ if [ "$1" = "--check" ]; then
     fi
   }
   trap print_summary EXIT
+
+  phase "warning-clean build: every target, default build type, -Werror"
+  wdir=$(mktemp -d -t ibc_werror_XXXXXX)
+  cmake -B "$wdir" -S . -DCMAKE_CXX_FLAGS=-Werror
+  cmake --build "$wdir" -j
+  rm -rf "$wdir"
+  phase_ok
 
   phase "ThreadSanitizer: parallel runner + determinism + telemetry"
   cmake -B build-tsan -S . -DTHREAD_SANITIZER=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -262,19 +272,24 @@ EOF
   [ "$rc" -eq 1 ] || {
     echo "ERROR: bench_table_gas_usage --trace: expected usage exit 1, got $rc"
     exit 1; }
-  # calibrate only prints its probes: every output flag is a usage error.
-  for flag in "--json" "--trace t.json" "--series s.csv" "--flight f.json"; do
+  # calibrate only prints a fixed probe set: every output flag and every
+  # sweep-size flag is a usage error. A --reps/--jobs count that is not a
+  # positive integer is one for every bench.
+  for cmd in "calibrate --json" "calibrate --trace t.json" \
+             "calibrate --series s.csv" "calibrate --flight f.json" \
+             "calibrate --full" "calibrate --reps 2" \
+             "bench_table_gas_usage --jobs abc"; do
     rc=0
-    # Unquoted: "--flag value" splits into two words.
+    # Unquoted: "bench --flag value" splits into its words.
     # shellcheck disable=SC2086
-    (cd "$jdir" && "$repo/build/bench/calibrate" $flag) >/dev/null 2>&1 \
-      || rc=$?
+    (cd "$jdir" && "$repo/build/bench/"$cmd) >/dev/null 2>&1 || rc=$?
     [ "$rc" -eq 1 ] || {
-      echo "ERROR: calibrate $flag: expected usage exit 1, got $rc"
+      echo "ERROR: $cmd: expected usage exit 1, got $rc"
       exit 1; }
   done
-  echo "strict flag parsing OK (unknown flag, scenario-bench --trace and" \
-    "calibrate output flags rejected, --help lists flags)"
+  echo "strict flag parsing OK (unknown flag, scenario-bench --trace," \
+    "calibrate output and sweep flags and a non-numeric --jobs rejected," \
+    "--help lists flags)"
   rm -rf "$jdir"
   phase_ok
 

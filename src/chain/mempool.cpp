@@ -5,14 +5,16 @@
 namespace chain {
 
 Mempool::Mempool(App& app, std::size_t max_txs)
-    : app_(app), max_txs_(max_txs) {}
+    : app_(app), max_txs_(max_txs) {
+  set_telemetry(nullptr, "");
+}
 
 void Mempool::set_telemetry(telemetry::Hub* hub, const std::string& name) {
-  if (auto* m = telemetry::metrics(hub)) {
-    admitted_ctr_ = m->counter(name + ".admitted");
-    rejected_full_ctr_ = m->counter(name + ".rejected_full");
-    rejected_checktx_ctr_ = m->counter(name + ".rejected_checktx");
-    evicted_recheck_ctr_ = m->counter(name + ".evicted_recheck");
+  if (auto* r = telemetry::counter_store(hub, own_counters_)) {
+    admitted_ctr_ = r->counter(name + ".admitted");
+    full_ctr_ = r->counter(name + ".rejected_full");
+    checktx_ctr_ = r->counter(name + ".rejected_checktx");
+    recheck_ctr_ = r->counter(name + ".evicted_recheck");
   }
 }
 
@@ -41,8 +43,7 @@ util::Status Mempool::add(const Tx& tx) {
                                "tx already in mempool");
   }
   if (count_ >= max_txs_) {
-    ++rejected_full_;
-    if (rejected_full_ctr_) rejected_full_ctr_->add();
+    full_ctr_->add();
     return util::Status::error(util::ErrorCode::kResourceExhausted,
                                "mempool is full");
   }
@@ -61,15 +62,14 @@ util::Status Mempool::add(const Tx& tx) {
   }
   CheckTxResult res = app_.check_tx_pending(tx, pending_same_sender);
   if (!res.status.is_ok()) {
-    ++rejected_checktx_;
-    if (rejected_checktx_ctr_) rejected_checktx_ctr_->add();
+    checktx_ctr_->add();
     return res.status;
   }
   shards_[shard_for(tx.sender)].push_back(Item{tx, hash, next_ticket_++});
   hashes_.insert(hash);
   ++pending_per_sender_[tx.sender];
   ++count_;
-  if (admitted_ctr_) admitted_ctr_->add();
+  admitted_ctr_->add();
   return util::Status::ok();
 }
 
@@ -130,8 +130,7 @@ void Mempool::update_after_commit(const std::vector<Tx>& committed) {
           app_.check_tx_pending(item.tx, pending_counts[item.tx.sender]);
       if (!res.status.is_ok()) {
         note_removed(item);
-        ++evicted_recheck_;
-        if (evicted_recheck_ctr_) evicted_recheck_ctr_->add();
+        recheck_ctr_->add();
         continue;
       }
       ++pending_counts[item.tx.sender];

@@ -62,13 +62,13 @@ class Mempool {
   std::size_t size() const { return count_; }
   bool contains(const TxHash& hash) const { return hashes_.contains(hash); }
 
-  std::uint64_t rejected_full() const { return rejected_full_; }
-  std::uint64_t rejected_checktx() const { return rejected_checktx_; }
-  std::uint64_t evicted_recheck() const { return evicted_recheck_; }
+  std::uint64_t rejected_full() const { return full_ctr_->value(); }
+  std::uint64_t rejected_checktx() const { return checktx_ctr_->value(); }
+  std::uint64_t evicted_recheck() const { return recheck_ctr_->value(); }
 
-  /// Wires admission counters under `<name>.`: admitted / rejected_full /
-  /// rejected_checktx (the paper's "account sequence mismatch" class) /
-  /// evicted_recheck.
+  /// Binds the admission counters under `<name>.`: admitted / rejected_full
+  /// / rejected_checktx (the paper's "account sequence mismatch" class) /
+  /// evicted_recheck. Call before the first add().
   void set_telemetry(telemetry::Hub* hub, const std::string& name);
 
  private:
@@ -99,14 +99,12 @@ class Mempool {
   std::uint64_t next_ticket_ = 0;
   std::size_t count_ = 0;
   std::function<bool(const Tx&)> censor_;
-  std::uint64_t rejected_full_ = 0;
-  std::uint64_t rejected_checktx_ = 0;
-  std::uint64_t evicted_recheck_ = 0;
   std::uint64_t censored_ = 0;
+  telemetry::Registry own_counters_;  // counter store when metrics are off
   telemetry::Counter* admitted_ctr_ = nullptr;
-  telemetry::Counter* rejected_full_ctr_ = nullptr;
-  telemetry::Counter* rejected_checktx_ctr_ = nullptr;
-  telemetry::Counter* evicted_recheck_ctr_ = nullptr;
+  telemetry::Counter* full_ctr_ = nullptr;
+  telemetry::Counter* checktx_ctr_ = nullptr;
+  telemetry::Counter* recheck_ctr_ = nullptr;
 };
 
 }  // namespace chain

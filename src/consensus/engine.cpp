@@ -19,7 +19,9 @@ Engine::Engine(sim::Scheduler& sched, net::Network& network,
       mempool_(mempool),
       ledger_(ledger),
       config_(config),
-      live_(validators_.size(), true) {}
+      live_(validators_.size(), true) {
+  set_telemetry(nullptr, "");
+}
 
 void Engine::start() {
   assert(!running_);
@@ -67,11 +69,13 @@ void Engine::set_telemetry(telemetry::Hub* hub, const std::string& name) {
   if (auto* t = telemetry::tracer(hub_)) {
     track_ = t->track(name, "consensus");
   }
+  if (auto* r = telemetry::counter_store(hub_, own_counters_)) {
+    blocks_ctr_ = r->counter(name + ".blocks");
+    empty_blocks_ctr_ = r->counter(name + ".empty_blocks");
+    rounds_ctr_ = r->counter(name + ".rounds");
+    failed_rounds_ctr_ = r->counter(name + ".failed_rounds");
+  }
   if (auto* m = telemetry::metrics(hub_)) {
-    blocks_ctr_ = m->counter(name + ".blocks");
-    empty_blocks_ctr_ = m->counter(name + ".empty_blocks");
-    rounds_ctr_ = m->counter(name + ".rounds");
-    failed_rounds_ctr_ = m->counter(name + ".failed_rounds");
     block_msgs_hist_ = m->histogram(
         name + ".block_msgs", {0, 1, 10, 50, 100, 500, 1000, 5000});
   }
@@ -104,8 +108,7 @@ void Engine::begin_round(chain::Height height, int round) {
   current_height_ = height;
   current_round_ = round;
   current_block_.reset();
-  ++total_rounds_;
-  if (rounds_ctr_) rounds_ctr_->add();
+  rounds_ctr_->add();
   if (round == 0) height_start_ = sched_.now();
 
   // Arm the round timeout; if the block does not commit in time the round
@@ -131,8 +134,7 @@ void Engine::on_round_timeout(chain::Height height, int round) {
   if (height != current_height_ || round != current_round_) return;
   const auto& t = tally(height, round);
   if (t.committed) return;
-  ++failed_rounds_;
-  if (failed_rounds_ctr_) failed_rounds_ctr_->add();
+  failed_rounds_ctr_->add();
   begin_round(height, round + 1);
 }
 
@@ -143,8 +145,7 @@ void Engine::propose(chain::Height height, int round) {
   auto block = std::make_shared<chain::Block>();
   block->txs = mempool_.reap(config_.max_block_gas, config_.max_block_bytes);
   if (block->txs.empty()) {
-    ++empty_blocks_;
-    if (empty_blocks_ctr_) empty_blocks_ctr_->add();
+    empty_blocks_ctr_->add();
   }
   // Carry any reported misbehaviour evidence in the block's Evidence field.
   block->evidence.reserve(pending_evidence_.size());
@@ -362,7 +363,7 @@ void Engine::commit_block(chain::Height height, int round) {
   last_block_time_ = block.header.time;
   last_exec_duration_ = exec;
 
-  if (blocks_ctr_) blocks_ctr_->add();
+  blocks_ctr_->add();
   if (block_msgs_hist_) {
     block_msgs_hist_->observe(static_cast<double>(total_msgs));
   }

@@ -97,7 +97,7 @@ class Engine {
   /// Wires telemetry. Track `name`/"consensus" gets one "height" span per
   /// block (round start through execution end — its width is the emergent
   /// block interval of Fig. 7) with a nested "exec" span, plus block/round
-  /// counters and a block-fullness histogram.
+  /// counters and a block-fullness histogram. Call before start().
   void set_telemetry(telemetry::Hub* hub, const std::string& name);
 
   const chain::ValidatorSet& validators() const { return validators_; }
@@ -107,9 +107,9 @@ class Engine {
   const EngineConfig& config() const { return config_; }
 
   // --- statistics -------------------------------------------------------
-  std::uint64_t empty_blocks() const { return empty_blocks_; }
-  std::uint64_t total_rounds() const { return total_rounds_; }
-  std::uint64_t failed_rounds() const { return failed_rounds_; }
+  std::uint64_t empty_blocks() const { return empty_blocks_ctr_->value(); }
+  std::uint64_t total_rounds() const { return rounds_ctr_->value(); }
+  std::uint64_t failed_rounds() const { return failed_rounds_ctr_->value(); }
   /// Verified misbehaviour proofs carried in committed blocks.
   std::uint64_t evidence_committed() const { return evidence_committed_; }
   sim::Duration last_exec_duration() const { return last_exec_duration_; }
@@ -161,14 +161,12 @@ class Engine {
 
   std::vector<chain::Evidence> pending_evidence_;
 
-  std::uint64_t empty_blocks_ = 0;
-  std::uint64_t total_rounds_ = 0;
-  std::uint64_t failed_rounds_ = 0;
   std::uint64_t evidence_committed_ = 0;
   sim::Duration last_exec_duration_ = 0;
 
   telemetry::Hub* hub_ = nullptr;
   telemetry::TrackId track_ = 0;
+  telemetry::Registry own_counters_;  // counter store when metrics are off
   telemetry::Counter* blocks_ctr_ = nullptr;
   telemetry::Counter* empty_blocks_ctr_ = nullptr;
   telemetry::Counter* rounds_ctr_ = nullptr;

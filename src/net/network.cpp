@@ -11,15 +11,16 @@ Network::Network(sim::Scheduler& sched, NetworkConfig config)
       rng_(config.seed),
       fault_rng_(config.seed ^ 0xFA17FA17FA17FA17ULL) {
   assert(config_.machine_count > 0);
+  set_telemetry(nullptr);
 }
 
 void Network::set_telemetry(telemetry::Hub* hub) {
-  if (auto* m = telemetry::metrics(hub)) {
-    msgs_ctr_ = m->counter("net.messages");
-    bytes_ctr_ = m->counter("net.bytes");
-    dropped_ctr_ = m->counter("net.dropped");
-    duplicated_ctr_ = m->counter("net.duplicated");
-    delayed_ctr_ = m->counter("net.delayed");
+  if (auto* r = telemetry::counter_store(hub, own_counters_)) {
+    msgs_ctr_ = r->counter("net.messages");
+    bytes_ctr_ = r->counter("net.bytes");
+    dropped_ctr_ = r->counter("net.dropped");
+    dup_ctr_ = r->counter("net.duplicated");
+    delayed_ctr_ = r->counter("net.delayed");
   }
 }
 
@@ -46,31 +47,24 @@ void Network::send(MachineId from, MachineId to, std::uint64_t payload_bytes,
                    std::function<void()> on_arrival) {
   assert(from >= 0 && from < config_.machine_count);
   assert(to >= 0 && to < config_.machine_count);
-  ++messages_sent_;
-  bytes_sent_ += payload_bytes;
-  if (msgs_ctr_) {
-    msgs_ctr_->add();
-    bytes_ctr_->add(payload_bytes);
-  }
+  msgs_ctr_->add();
+  bytes_ctr_->add(payload_bytes);
   if (faults_.active()) {
     if (faults_.drop_probability > 0.0 &&
         fault_rng_.chance(faults_.drop_probability)) {
-      ++messages_dropped_;
-      if (dropped_ctr_) dropped_ctr_->add();
+      dropped_ctr_->add();
       return;
     }
     sim::Duration extra = 0;
     if (faults_.delay_probability > 0.0 &&
         fault_rng_.chance(faults_.delay_probability)) {
-      ++messages_delayed_;
-      if (delayed_ctr_) delayed_ctr_->add();
+      delayed_ctr_->add();
       extra = static_cast<sim::Duration>(fault_rng_.uniform(
           0.0, static_cast<double>(faults_.max_extra_delay)));
     }
     if (faults_.duplicate_probability > 0.0 &&
         fault_rng_.chance(faults_.duplicate_probability)) {
-      ++messages_duplicated_;
-      if (duplicated_ctr_) duplicated_ctr_->add();
+      dup_ctr_->add();
       // The copy draws an independent transfer time: duplicates reorder.
       sched_.schedule_after(transfer_time(from, to, payload_bytes),
                             on_arrival);

@@ -90,15 +90,15 @@ class Network {
   void set_fault_profile(FaultProfile faults) { faults_ = faults; }
   const FaultProfile& fault_profile() const { return faults_; }
 
-  /// Wires traffic counters under `net.`: messages / bytes / dropped /
-  /// duplicated / delayed.
+  /// Binds the traffic counters under `net.`: messages / bytes / dropped /
+  /// duplicated / delayed. Call before the first send.
   void set_telemetry(telemetry::Hub* hub);
 
-  std::uint64_t messages_sent() const { return messages_sent_; }
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
-  std::uint64_t messages_dropped() const { return messages_dropped_; }
-  std::uint64_t messages_duplicated() const { return messages_duplicated_; }
-  std::uint64_t messages_delayed() const { return messages_delayed_; }
+  std::uint64_t messages_sent() const { return msgs_ctr_->value(); }
+  std::uint64_t bytes_sent() const { return bytes_ctr_->value(); }
+  std::uint64_t messages_dropped() const { return dropped_ctr_->value(); }
+  std::uint64_t messages_duplicated() const { return dup_ctr_->value(); }
+  std::uint64_t messages_delayed() const { return delayed_ctr_->value(); }
 
  private:
   sim::Scheduler& sched_;
@@ -106,15 +106,11 @@ class Network {
   util::Rng rng_;
   util::Rng fault_rng_;
   FaultProfile faults_;
-  std::uint64_t messages_sent_ = 0;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t messages_dropped_ = 0;
-  std::uint64_t messages_duplicated_ = 0;
-  std::uint64_t messages_delayed_ = 0;
+  telemetry::Registry own_counters_;  // counter store when metrics are off
   telemetry::Counter* msgs_ctr_ = nullptr;
   telemetry::Counter* bytes_ctr_ = nullptr;
   telemetry::Counter* dropped_ctr_ = nullptr;
-  telemetry::Counter* duplicated_ctr_ = nullptr;
+  telemetry::Counter* dup_ctr_ = nullptr;
   telemetry::Counter* delayed_ctr_ = nullptr;
 };
 

@@ -34,15 +34,25 @@ void QueryCache::set_telemetry(telemetry::Hub* hub, const std::string& name) {
   if (auto* t = telemetry::tracer(hub_)) {
     track_ = t->track(name, "query_cache");
   }
+  if (auto* r = telemetry::counter_store(hub_, own_counters_)) {
+    hits_ctr_ = r->counter(name + ".query_cache.hits");
+    misses_ctr_ = r->counter(name + ".query_cache.misses");
+    evictions_ctr_ = r->counter(name + ".query_cache.evictions");
+    invalidations_ctr_ = r->counter(name + ".query_cache.invalidations");
+    insertions_ctr_ = r->counter(name + ".query_cache.insertions");
+    stale_rejections_ctr_ = r->counter(name + ".query_cache.stale_rejections");
+  }
   if (auto* m = telemetry::metrics(hub_)) {
-    hits_ctr_ = m->counter(name + ".query_cache.hits");
-    misses_ctr_ = m->counter(name + ".query_cache.misses");
-    evictions_ctr_ = m->counter(name + ".query_cache.evictions");
-    invalidations_ctr_ = m->counter(name + ".query_cache.invalidations");
-    insertions_ctr_ = m->counter(name + ".query_cache.insertions");
-    stale_rejections_ctr_ = m->counter(name + ".query_cache.stale_rejections");
     bytes_gauge_ = m->gauge(name + ".query_cache.bytes");
   }
+}
+
+QueryCache::Stats QueryCache::stats() const {
+  // In Stats field order.
+  return {hits_ctr_->value(),          misses_ctr_->value(),
+          insertions_ctr_->value(),    evictions_ctr_->value(),
+          invalidations_ctr_->value(), stale_rejections_ctr_->value(),
+          bytes_};
 }
 
 const QueryCache::Entry* QueryCache::lookup(const Key& key) {
@@ -57,25 +67,23 @@ void QueryCache::insert(Key key, Payload payload, std::size_t bytes) {
   if (index_.contains(key)) return;       // duplicate in-flight misses
   lru_.push_front(Entry{std::move(key), bytes, std::move(payload)});
   index_[lru_.front().key] = lru_.begin();
-  stats_.bytes += bytes;
-  ++stats_.insertions;
-  if (insertions_ctr_) insertions_ctr_->add();
-  while (stats_.bytes > config_.max_bytes) evict_coldest();
-  if (bytes_gauge_) bytes_gauge_->set(static_cast<double>(stats_.bytes));
+  bytes_ += bytes;
+  insertions_ctr_->add();
+  while (bytes_ > config_.max_bytes) evict_coldest();
+  if (bytes_gauge_) bytes_gauge_->set(static_cast<double>(bytes_));
 }
 
 QueryCache::Index::iterator QueryCache::erase(Index::iterator it) {
-  stats_.bytes -= it->second->bytes;
+  bytes_ -= it->second->bytes;
   lru_.erase(it->second);
   const auto next = index_.erase(it);
-  if (bytes_gauge_) bytes_gauge_->set(static_cast<double>(stats_.bytes));
+  if (bytes_gauge_) bytes_gauge_->set(static_cast<double>(bytes_));
   return next;
 }
 
 void QueryCache::evict_coldest() {
   if (lru_.empty()) return;
-  ++stats_.evictions;
-  if (evictions_ctr_) evictions_ctr_->add();
+  evictions_ctr_->add();
   if (auto* t = telemetry::tracer(hub_)) {
     t->instant(track_, "evict", sched_.now());
   }
@@ -84,18 +92,12 @@ void QueryCache::evict_coldest() {
 
 void QueryCache::serve_hit(const rpc::Server& server, const char* what,
                            std::function<void()> deliver) {
-  ++stats_.hits;
-  if (hits_ctr_) hits_ctr_->add();
+  hits_ctr_->add();
   const sim::Duration cost = server.cost_model().cache_hit_cost;
   if (auto* t = telemetry::tracer(hub_)) {
     t->complete(track_, what, sched_.now(), cost);
   }
   sched_.schedule_after(cost, std::move(deliver));
-}
-
-void QueryCache::count_miss() {
-  ++stats_.misses;
-  if (misses_ctr_) misses_ctr_->add();
 }
 
 void QueryCache::query_packet_events(
@@ -117,7 +119,7 @@ void QueryCache::query_packet_events(
               });
     return;
   }
-  count_miss();
+  misses_ctr_->add();
   server.query_packet_events(
       client, height, event_type, seq_begin, seq_end,
       [this, key = std::move(key),
@@ -145,7 +147,7 @@ void QueryCache::query_header(
               });
     return;
   }
-  count_miss();
+  misses_ctr_->add();
   server.query_header(
       client, height,
       [this, key = std::move(key), cb = std::move(cb)](
@@ -178,7 +180,7 @@ void QueryCache::abci_query(
         });
     return;
   }
-  count_miss();
+  misses_ctr_->add();
   server.abci_query(
       client, key_str, prove,
       [this, &server, probe = std::move(probe), cb = std::move(cb)](
@@ -192,8 +194,7 @@ void QueryCache::abci_query(
           const auto seen = observed_height_.find(&server);
           if (seen != observed_height_.end() &&
               res.value().height < seen->second) {
-            ++stats_.stale_rejections;
-            if (stale_rejections_ctr_) stale_rejections_ctr_->add();
+            stale_rejections_ctr_->add();
           } else {
             insert(std::move(probe), res.value(), abci_bytes(res.value()));
           }
@@ -212,8 +213,7 @@ void QueryCache::on_height_advance(const rpc::Server& server,
     if (k.kind == Kind::kAbci && k.server == &server &&
         std::get<rpc::Server::AbciQueryResult>(it->second->payload).height <
             height) {
-      ++stats_.invalidations;
-      if (invalidations_ctr_) invalidations_ctr_->add();
+      invalidations_ctr_->add();
       it = erase(it);
     } else {
       ++it;
@@ -231,8 +231,7 @@ void QueryCache::invalidate_page(const rpc::Server& server,
                 event_type};
   const auto it = index_.find(key);
   if (it == index_.end()) return;
-  ++stats_.invalidations;
-  if (invalidations_ctr_) invalidations_ctr_->add();
+  invalidations_ctr_->add();
   erase(it);
 }
 

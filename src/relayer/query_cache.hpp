@@ -51,14 +51,16 @@ struct QueryCacheConfig {
 class QueryCache {
  public:
   QueryCache(sim::Scheduler& sched, QueryCacheConfig config)
-      : sched_(sched), config_(config) {}
+      : sched_(sched), config_(config) {
+    set_telemetry(nullptr, "");
+  }
 
   QueryCache(const QueryCache&) = delete;
   QueryCache& operator=(const QueryCache&) = delete;
 
   const QueryCacheConfig& config() const { return config_; }
 
-  /// Registers hit/miss/eviction counters under `<name>.query_cache.*` and a
+  /// Binds hit/miss/eviction counters under `<name>.query_cache.*` and a
   /// "query_cache" trace track carrying one complete span per hit (misses
   /// show up as the usual rpc spans they fall through to).
   void set_telemetry(telemetry::Hub* hub, const std::string& name);
@@ -111,7 +113,8 @@ class QueryCache {
       bytes += o.bytes;
     }
   };
-  const Stats& stats() const { return stats_; }
+  /// Reads the bound counters (a snapshot, not a live view).
+  Stats stats() const;
 
  private:
   enum class Kind : std::uint8_t { kPage = 0, kHeader, kAbci };
@@ -150,13 +153,12 @@ class QueryCache {
   /// Books a hit and delivers `deliver` after cache_hit_cost of local work.
   void serve_hit(const rpc::Server& server, const char* what,
                  std::function<void()> deliver);
-  void count_miss();
 
   sim::Scheduler& sched_;
   QueryCacheConfig config_;
   std::list<Entry> lru_;  // front = hottest
   Index index_;
-  Stats stats_;
+  std::size_t bytes_ = 0;  // estimated footprint of the cached entries
   /// Latest chain height observed per server (on_height_advance). ABCI
   /// responses answering below this watermark are stale by the time they
   /// arrive and must not be cached: an in-flight query started before a
@@ -167,6 +169,7 @@ class QueryCache {
 
   telemetry::Hub* hub_ = nullptr;
   telemetry::TrackId track_ = 0;
+  telemetry::Registry own_counters_;  // counter store when metrics are off
   telemetry::Counter* hits_ctr_ = nullptr;
   telemetry::Counter* misses_ctr_ = nullptr;
   telemetry::Counter* evictions_ctr_ = nullptr;

@@ -22,6 +22,7 @@ Relayer::Relayer(sim::Scheduler& sched, ChainHandle a, ChainHandle b,
       step_log_(step_log),
       cache_(sched, config_.query_cache),
       coordination_(config_.coordination) {
+  set_telemetry(nullptr, "");
   fee_ok_ = config_.per_hop_fee_budget <= 0 ||
             static_cast<double>(estimate_gas(1, 1, gas_.recv_packet)) *
                     config_.gas_price <=
@@ -141,30 +142,59 @@ void Relayer::set_telemetry(telemetry::Hub* hub, const std::string& name) {
     lane_track_[0] = t->track(name, "recv");
     lane_track_[1] = t->track(name, "ack/timeout");
   }
-  if (auto* m = telemetry::metrics(hub_)) {
+  if (auto* r = telemetry::counter_store(hub_, own_counters_)) {
     for (int i = 0; i < 7; ++i) {
-      op_ctr_[i] = m->counter(name + ".ops." + kOpNames[i]);
+      op_ctr_[i] = r->counter(name + ".ops." + kOpNames[i]);
     }
+    chunk_queries_ctr_ = r->counter(name + ".pull.chunk_queries");
+    chunks_skipped_ctr_ = r->counter(name + ".pull.chunks_skipped");
+    pull_failures_ctr_ = r->counter(name + ".pull.query_failures");
+    ack_decode_failures_ctr_ = r->counter(name + ".pull.ack_decode_failures");
+    abandoned_ctr_ = r->counter(name + ".abandoned_packets");
+    relayed_ctr_ = r->counter(name + ".packets_relayed");
+    completed_ctr_ = r->counter(name + ".packets_completed");
+    timed_out_ctr_ = r->counter(name + ".packets_timed_out");
+    redundant_ctr_ = r->counter(name + ".redundant_errors");
+    frames_failed_ctr_ = r->counter(name + ".frames_failed");
+    recv_failed_ctr_ = r->counter(name + ".recv_txs_failed");
+    ack_failed_ctr_ = r->counter(name + ".ack_txs_failed");
+    routing_skipped_ctr_ = r->counter(name + ".routing_skipped");
+    coordination_skipped_ctr_ = r->counter(name + ".coordination_skipped");
+  }
+  if (auto* m = telemetry::metrics(hub_)) {
     const std::vector<double> bounds = {1, 2, 5, 10, 20, 50, 100, 200};
     relay_batch_hist_ = m->histogram(name + ".relay_batch_size", bounds);
     ack_batch_hist_ = m->histogram(name + ".ack_batch_size", bounds);
-    chunk_queries_ctr_ = m->counter(name + ".pull.chunk_queries");
-    chunks_skipped_ctr_ = m->counter(name + ".pull.chunks_skipped");
-    pull_failures_ctr_ = m->counter(name + ".pull.query_failures");
-    ack_decode_failures_ctr_ = m->counter(name + ".pull.ack_decode_failures");
-    abandoned_ctr_ = m->counter(name + ".abandoned_packets");
-    relayed_ctr_ = m->counter(name + ".packets_relayed");
-    completed_ctr_ = m->counter(name + ".packets_completed");
-    timed_out_ctr_ = m->counter(name + ".packets_timed_out");
-    redundant_ctr_ = m->counter(name + ".redundant_errors");
-    frames_failed_ctr_ = m->counter(name + ".frames_failed");
-    recv_failed_ctr_ = m->counter(name + ".recv_txs_failed");
-    ack_failed_ctr_ = m->counter(name + ".ack_txs_failed");
-    routing_skipped_ctr_ = m->counter(name + ".routing_skipped");
-    coordination_skipped_ctr_ = m->counter(name + ".coordination_skipped");
   }
   flight_name_ = name;
   cache_.set_telemetry(hub, name);
+}
+
+Relayer::Stats Relayer::stats() const {
+  // In Stats field order.
+  return {relayed_ctr_->value(),       completed_ctr_->value(),
+          timed_out_ctr_->value(),     redundant_ctr_->value(),
+          frames_failed_ctr_->value(), recv_failed_ctr_->value(),
+          ack_failed_ctr_->value(),    chunk_queries_ctr_->value(),
+          chunks_skipped_ctr_->value(), pull_failures_ctr_->value(),
+          ack_decode_failures_ctr_->value(), abandoned_ctr_->value(),
+          coordination_skipped_ctr_->value(), routing_skipped_ctr_->value()};
+}
+
+bool Relayer::adopts(ibc::Sequence seq, chain::Height height) {
+  if (!fee_ok_) {
+    // Routing policy: this instance does not serve the channel (or the
+    // hop's fee exceeds its budget) — another placement covers it.
+    routing_skipped_ctr_->add();
+    return false;
+  }
+  if (!coordination_.owns(seq, height)) {
+    // A coordinated peer owns this packet; never enter it in the table so
+    // no lane (pull, recv, ack, timeout, retry) ever touches it.
+    coordination_skipped_ctr_->add();
+    return false;
+  }
+  return true;
 }
 
 Relayer::StageCounts Relayer::stage_counts() const {
@@ -230,8 +260,7 @@ void Relayer::on_frame_a(const rpc::NewBlockFrame& frame) {
     // WebSocket frame limit. The packets in this block are invisible to the
     // relayer until (if ever) a clear pass rediscovers them; with the
     // sticky-failure behaviour the event source stays broken afterwards.
-    ++stats_.frames_failed;
-    if (frames_failed_ctr_) frames_failed_ctr_->add();
+    frames_failed_ctr_->add();
     if (config_.websocket_failure_sticky) ws_wedged_a_ = true;
     IBC_LOG(kWarn, "relayer") << "failed to collect events at height "
                               << frame.height;
@@ -258,20 +287,7 @@ void Relayer::on_frame_a(const rpc::NewBlockFrame& frame) {
       const std::uint64_t seq =
           std::strtoull(ev.attribute("packet_sequence").c_str(), nullptr, 10);
       if (seq == 0 || packets_.contains(seq)) continue;
-      if (!relays_packets()) {
-        // Routing policy: this instance does not serve the channel (or the
-        // hop's fee exceeds its budget) — another placement covers it.
-        ++stats_.routing_skipped;
-        if (routing_skipped_ctr_) routing_skipped_ctr_->add();
-        continue;
-      }
-      if (!coordination_.owns(seq, frame.height)) {
-        // A coordinated peer owns this packet; never enter it in the table
-        // so no lane (pull, recv, ack, timeout, retry) ever touches it.
-        ++stats_.coordination_skipped;
-        if (coordination_skipped_ctr_) coordination_skipped_ctr_->add();
-        continue;
-      }
+      if (!adopts(seq, frame.height)) continue;
       PacketState st;
       st.stage = Stage::kExtracted;
       st.src_height = frame.height;
@@ -320,8 +336,7 @@ void Relayer::on_frame_b(const rpc::NewBlockFrame& frame) {
   cache_.on_height_advance(*b_.server, frame.height);
   last_seen_b_height_ = std::max(last_seen_b_height_, frame.height);
   if (!frame.events_ok) {
-    ++stats_.frames_failed;
-    if (frames_failed_ctr_) frames_failed_ctr_->add();
+    frames_failed_ctr_->add();
     if (config_.websocket_failure_sticky) ws_wedged_b_ = true;
   }
   if (ws_wedged_b_) return;  // ack extraction disabled; commit-callback path
@@ -401,8 +416,7 @@ void Relayer::enqueue_retry(Op op) {
 void Relayer::abandon_packet(ibc::Sequence seq, PacketState& ps,
                              const char* why) {
   ps.stage = Stage::kAbandoned;
-  ++stats_.abandoned_packets;
-  if (abandoned_ctr_) abandoned_ctr_->add();
+  abandoned_ctr_->add();
   timeout_candidates_.erase(seq);
   IBC_LOG(kWarn, "relayer")
       << "abandoning packet " << seq << " after bounded retries (" << why
@@ -425,7 +439,7 @@ void Relayer::pump(int lane) {
   Op op = std::move(ops_[lane].front());
   ops_[lane].pop_front();
   const int kind_idx = static_cast<int>(op.kind);
-  if (op_ctr_[kind_idx]) op_ctr_[kind_idx]->add();
+  op_ctr_[kind_idx]->add();
   std::function<void()> done = [this, lane, epoch = lane_epoch_]() {
     // A done() surviving from before a restart must not unlock the lane the
     // new life is using.
@@ -505,8 +519,7 @@ void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
     while (begin < seqs.size() &&
            chunk_satisfied(event_type, seqs, begin,
                            std::min(begin + chunk, seqs.size()))) {
-      ++stats_.chunk_queries_skipped;
-      if (chunks_skipped_ctr_) chunks_skipped_ctr_->add();
+      chunks_skipped_ctr_->add();
       ++chunk_index;
       begin = chunk_index * chunk;
     }
@@ -524,8 +537,7 @@ void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
                              ? Step::kTransferDataPull
                              : Step::kRecvDataPull;
 
-  ++stats_.chunk_queries;
-  if (chunk_queries_ctr_) chunk_queries_ctr_->add();
+  chunk_queries_ctr_->add();
   cache_.query_packet_events(
       *server, config_.machine, height, event_type, lo, hi,
       [this, server, height, event_type, seqs = std::move(seqs), chunk_index,
@@ -567,8 +579,7 @@ void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
                   // this packet cannot be acknowledged. Count it, drop any
                   // cached copy of the bad page, and let the ack batch's
                   // completion handler schedule a bounded re-pull.
-                  ++stats_.ack_decode_failures;
-                  if (ack_decode_failures_ctr_) ack_decode_failures_ctr_->add();
+                  ack_decode_failures_ctr_->add();
                   st.ack_decode_failed = true;
                   cache_.invalidate_page(*server, height, event_type, lo, hi);
                   IBC_LOG(kWarn, "relayer")
@@ -583,8 +594,7 @@ void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
           // packets stuck with no trace; count and log it, and report the
           // pull as partial so callers can tell.
           failed = true;
-          ++stats_.pull_query_failures;
-          if (pull_failures_ctr_) pull_failures_ctr_->add();
+          pull_failures_ctr_->add();
           IBC_LOG(kWarn, "relayer")
               << event_type << " pull chunk [" << lo << ", " << hi
               << "] at height " << height
@@ -802,8 +812,7 @@ void Relayer::build_and_send_recv(std::vector<ibc::Sequence> seqs,
                   PacketState& ps = it->second;
                   if (out.status.is_ok()) {
                     record(Step::kRecvConfirmation, s);
-                    ++stats_.packets_relayed;
-                    if (relayed_ctr_) relayed_ctr_->add();
+                    relayed_ctr_->add();
                     if (ps.stage == Stage::kRecvInFlight) {
                       ps.stage = Stage::kRecvDone;
                       ps.dst_height = out.height;
@@ -811,8 +820,7 @@ void Relayer::build_and_send_recv(std::vector<ibc::Sequence> seqs,
                     }
                   } else if (out.status.code() ==
                              util::ErrorCode::kRedundantPacket) {
-                    ++stats_.redundant_errors;
-                    if (redundant_ctr_) redundant_ctr_->add();
+                    redundant_ctr_->add();
                     if (ps.stage == Stage::kRecvInFlight) {
                       if (ps.recv_retries <
                           static_cast<std::uint8_t>(config_.max_packet_retries)) {
@@ -836,8 +844,7 @@ void Relayer::build_and_send_recv(std::vector<ibc::Sequence> seqs,
                       ps.stage = Stage::kPulled;  // timeout path picks it up
                     }
                   } else {
-                    ++stats_.recv_txs_failed;
-                    if (recv_failed_ctr_) recv_failed_ctr_->add();
+                    recv_failed_ctr_->add();
                     IBC_LOG(kWarn, "relayer")
                         << "recv tx failed: " << out.status.to_string();
                     if (ps.stage == Stage::kRecvInFlight) {
@@ -1095,13 +1102,11 @@ void Relayer::build_and_send_ack(std::vector<ibc::Sequence> seqs,
                   PacketState& ps = it->second;
                   if (out.status.is_ok()) {
                     record(Step::kAckConfirmation, s);
-                    ++stats_.packets_completed;
-                    if (completed_ctr_) completed_ctr_->add();
+                    completed_ctr_->add();
                     ps.stage = Stage::kDone;
                   } else if (out.status.code() ==
                              util::ErrorCode::kRedundantPacket) {
-                    ++stats_.redundant_errors;
-                    if (redundant_ctr_) redundant_ctr_->add();
+                    redundant_ctr_->add();
                     if (ps.stage == Stage::kAckInFlight &&
                         ps.ack_retries <
                             static_cast<std::uint8_t>(
@@ -1121,8 +1126,7 @@ void Relayer::build_and_send_ack(std::vector<ibc::Sequence> seqs,
                       ps.ack_tx_failed = true;
                     }
                   } else {
-                    ++stats_.ack_txs_failed;
-                    if (ack_failed_ctr_) ack_failed_ctr_->add();
+                    ack_failed_ctr_->add();
                     IBC_LOG(kWarn, "relayer")
                         << "ack tx failed: " << out.status.to_string();
                     // A censored/unreachable mempool fails submit before
@@ -1272,13 +1276,11 @@ void Relayer::run_timeout_batch(TimeoutBatchOp op, std::function<void()> done) {
                 const auto it = packets_.find(s);
                 if (it == packets_.end()) continue;
                 if (out.status.is_ok()) {
-                  ++stats_.packets_timed_out;
-                  if (timed_out_ctr_) timed_out_ctr_->add();
+                  timed_out_ctr_->add();
                   it->second.stage = Stage::kTimedOut;
                 } else if (out.status.code() ==
                            util::ErrorCode::kRedundantPacket) {
-                  ++stats_.redundant_errors;
-                  if (redundant_ctr_) redundant_ctr_->add();
+                  redundant_ctr_->add();
                   it->second.stage = Stage::kTimedOut;
                 }
                 timeout_candidates_.erase(s);
@@ -1345,16 +1347,7 @@ void Relayer::run_clear(ClearOp op, std::function<void()> done) {
             // Never seen (e.g. lost in an oversized WebSocket frame). Under
             // coordination, only adopt strays this instance owns — the
             // owning peer's own clear pass covers the rest.
-            if (!relays_packets()) {
-              ++stats_.routing_skipped;
-              if (routing_skipped_ctr_) routing_skipped_ctr_->add();
-              continue;
-            }
-            if (!coordination_.owns(seq, last_seen_a_height_)) {
-              ++stats_.coordination_skipped;
-              if (coordination_skipped_ctr_) coordination_skipped_ctr_->add();
-              continue;
-            }
+            if (!adopts(seq, last_seen_a_height_)) continue;
             PacketState ps;
             ps.stage = Stage::kExtracted;
             packets_.emplace(seq, std::move(ps));
@@ -1426,8 +1419,7 @@ void Relayer::run_clear(ClearOp op, std::function<void()> done) {
               if (!res.is_ok()) {
                 // Same defect class as the chunked pulls: a failed recovery
                 // scan used to disappear without a trace.
-                ++stats_.pull_query_failures;
-                if (pull_failures_ctr_) pull_failures_ctr_->add();
+                pull_failures_ctr_->add();
                 IBC_LOG(kWarn, "relayer")
                     << "clear range scan failed: " << res.status().to_string();
               }
@@ -1482,8 +1474,7 @@ void Relayer::run_ack_scan(ClearOp op, std::function<void()> done) {
           util::Result<rpc::TxSearchPage> res) mutable {
         if (!running_) return;
         if (!res.is_ok()) {
-          ++stats_.pull_query_failures;
-          if (pull_failures_ctr_) pull_failures_ctr_->add();
+          pull_failures_ctr_->add();
           IBC_LOG(kWarn, "relayer")
               << "startup ack scan failed: " << res.status().to_string();
           done();
@@ -1496,16 +1487,8 @@ void Relayer::run_ack_scan(ClearOp op, std::function<void()> done) {
             auto pkt = ibc::packet_from_event(ev);
             if (!pkt || pkt->source_channel != path_.channel_a) continue;
             const ibc::Sequence seq = pkt->sequence;
-            if (!packets_.contains(seq) && !relays_packets()) {
-              ++stats_.routing_skipped;
-              if (routing_skipped_ctr_) routing_skipped_ctr_->add();
-              continue;
-            }
-            if (!packets_.contains(seq) &&
-                !coordination_.owns(seq, last_seen_a_height_)) {
-              // An unowned, unseen packet is a peer's to acknowledge.
-              ++stats_.coordination_skipped;
-              if (coordination_skipped_ctr_) coordination_skipped_ctr_->add();
+            // An unowned, unseen packet is a peer's to acknowledge.
+            if (!packets_.contains(seq) && !adopts(seq, last_seen_a_height_)) {
               continue;
             }
             PacketState& st = packets_[seq];  // inserts when unseen
@@ -1517,8 +1500,7 @@ void Relayer::run_ack_scan(ClearOp op, std::function<void()> done) {
             ibc::Acknowledgement ack;
             if (!ibc::Acknowledgement::decode(
                     util::to_bytes(ev.attribute("packet_ack")), ack)) {
-              ++stats_.ack_decode_failures;
-              if (ack_decode_failures_ctr_) ack_decode_failures_ctr_->add();
+              ack_decode_failures_ctr_->add();
               continue;
             }
             st.packet = std::move(*pkt);

@@ -147,8 +147,8 @@ class Relayer {
   /// Wires telemetry. Each worker lane gets a trace track under process
   /// `name` ("recv" and "ack/timeout"); every queued operation becomes a
   /// complete span covering assemble-through-submit, so relayer batch growth
-  /// under load (paper Fig. 8) is visible on the timeline. Also registers
-  /// per-op counters and batch-size histograms.
+  /// under load (paper Fig. 8) is visible on the timeline. Also binds the
+  /// Stats and per-op counters and registers batch-size histograms.
   void set_telemetry(telemetry::Hub* hub, const std::string& name);
 
   struct Stats {
@@ -167,7 +167,8 @@ class Relayer {
     std::uint64_t coordination_skipped = 0;   // packets owned by a peer
     std::uint64_t routing_skipped = 0;        // unserved channel / over budget
   };
-  const Stats& stats() const { return stats_; }
+  /// Reads the bound counters (a snapshot, not a live view).
+  Stats stats() const;
   Wallet& wallet_a() { return *wallet_a_; }
   Wallet& wallet_b() { return *wallet_b_; }
   const QueryCache& query_cache() const { return cache_; }
@@ -227,19 +228,19 @@ class Relayer {
 
   // Operations executed sequentially by the path worker.
   struct RelayBatchOp {
-    chain::Height src_height;
+    chain::Height src_height = 0;
     std::vector<ibc::Sequence> seqs;
   };
   struct AckBatchOp {
-    chain::Height dst_height;
+    chain::Height dst_height = 0;
     std::vector<ibc::Sequence> seqs;
   };
   struct TimeoutBatchOp {
     std::vector<ibc::Sequence> seqs;
   };
   struct ClearOp {
-    chain::Height scan_from;
-    chain::Height scan_to;
+    chain::Height scan_from = 0;
+    chain::Height scan_to = 0;
   };
   struct RetryOp {
     std::vector<ibc::Sequence> seqs;
@@ -316,10 +317,11 @@ class Relayer {
   void record(Step step, ibc::Sequence seq);
   void check_timeouts();
 
-  /// Routing policy gate: is the hop's estimated relay fee within this
-  /// instance's per-hop budget? Computed once at construction; checked
-  /// before coordination.
-  bool relays_packets() const { return fee_ok_; }
+  /// Should this instance take on an unseen packet first observed at
+  /// `height`? Checks the routing policy (fee_ok_), then coordination
+  /// ownership, and counts the skip (routing_skipped / coordination_skipped)
+  /// when not.
+  bool adopts(ibc::Sequence seq, chain::Height height);
 
   /// Clears a self-referential step closure once its chain has finished
   /// (deferred one tick so the currently-executing function is not destroyed
@@ -343,17 +345,16 @@ class Relayer {
 
   telemetry::Hub* hub_ = nullptr;
   telemetry::TrackId lane_track_[2] = {0, 0};
-  telemetry::Counter* op_ctr_[7] = {};          // indexed by Op::Kind
   telemetry::Histogram* relay_batch_hist_ = nullptr;
   telemetry::Histogram* ack_batch_hist_ = nullptr;
+  telemetry::Registry own_counters_;  // counter store when metrics are off
+  telemetry::Counter* op_ctr_[7] = {};          // indexed by Op::Kind
+  // The Stats counters; stats() reads them.
   telemetry::Counter* chunk_queries_ctr_ = nullptr;
   telemetry::Counter* chunks_skipped_ctr_ = nullptr;
   telemetry::Counter* pull_failures_ctr_ = nullptr;
   telemetry::Counter* ack_decode_failures_ctr_ = nullptr;
   telemetry::Counter* abandoned_ctr_ = nullptr;
-  // Registry mirrors of the remaining Stats counters, so metrics.csv and
-  // the virtual-time sampler see them (Stats itself is only read at the end
-  // of a run).
   telemetry::Counter* relayed_ctr_ = nullptr;
   telemetry::Counter* completed_ctr_ = nullptr;
   telemetry::Counter* timed_out_ctr_ = nullptr;
@@ -388,8 +389,6 @@ class Relayer {
   bool ws_wedged_a_ = false;  // §V sticky event-collection failure
   bool ws_wedged_b_ = false;
   std::set<ibc::Sequence> timeout_candidates_;
-
-  Stats stats_;
 };
 
 }  // namespace relayer

@@ -19,15 +19,17 @@ Server::Server(sim::Scheduler& sched, net::Network& network,
       app_(app),
       cost_(cost),
       rng_(seed ^ (static_cast<std::uint64_t>(machine) << 32)),
-      queue_(sched, cost.request_queue_capacity) {}
+      queue_(sched, cost.request_queue_capacity) {
+  set_telemetry(nullptr, "");
+}
 
 void Server::set_telemetry(telemetry::Hub* hub, const std::string& track_name) {
   hub_ = hub;
   flight_name_ = track_name;
   queue_.set_telemetry(hub, track_name);
-  if (auto* m = telemetry::metrics(hub)) {
-    frames_pushed_ctr_ = m->counter(track_name + ".ws_frames");
-    frames_oversize_ctr_ = m->counter(track_name + ".ws_frames_oversize");
+  if (auto* r = telemetry::counter_store(hub, own_counters_)) {
+    frames_pushed_ctr_ = r->counter(track_name + ".ws_frames");
+    frames_oversize_ctr_ = r->counter(track_name + ".ws_frames_oversize");
   }
 }
 
@@ -463,8 +465,7 @@ void Server::on_block_committed(
     // Paper §V: "Failed to collect events" — the subscriber receives the
     // block header notification but no event payload.
     frame.events_ok = false;
-    ++frames_dropped_oversize_;
-    if (frames_oversize_ctr_) frames_oversize_ctr_->add();
+    frames_oversize_ctr_->add();
     frame.frame_bytes = 1024;
   } else {
     frame.events_ok = true;
@@ -478,7 +479,7 @@ void Server::on_block_committed(
   const sim::Duration service =
       cost_.base_service +
       cost_.websocket_marshal_cost(frame.events_ok ? frame.frame_bytes : 0);
-  if (frames_pushed_ctr_) frames_pushed_ctr_->add();
+  frames_pushed_ctr_->add();
   auto shared = std::make_shared<NewBlockFrame>(std::move(frame));
   queue_.enqueue(
       service,

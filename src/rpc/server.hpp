@@ -77,7 +77,7 @@ class Server {
 
   /// Wires telemetry. `track_name` names this server's trace track (e.g.
   /// "src.m0.rpc"); every endpoint's queue-wait and service time lands there,
-  /// labelled by endpoint. Also registers websocket frame counters.
+  /// labelled by endpoint. Also binds request and websocket frame counters.
   void set_telemetry(telemetry::Hub* hub, const std::string& track_name);
 
   /// Concurrent-RPC mitigation: a pool of N query workers draining the
@@ -200,7 +200,7 @@ class Server {
     return queue_.queued() + queue_.in_service();
   }
   std::uint64_t frames_dropped_oversize() const {
-    return frames_dropped_oversize_;
+    return frames_oversize_ctr_->value();
   }
 
  private:
@@ -238,9 +238,9 @@ class Server {
   std::vector<Subscription> subscriptions_;
   SubscriptionId next_subscription_ = 1;
   QueryTamper tamper_;
-  std::uint64_t frames_dropped_oversize_ = 0;
   telemetry::Hub* hub_ = nullptr;  // flight-recorder journaling only
   std::string flight_name_;        // this endpoint's journal tag
+  telemetry::Registry own_counters_;  // counter store when metrics are off
   telemetry::Counter* frames_pushed_ctr_ = nullptr;
   telemetry::Counter* frames_oversize_ctr_ = nullptr;
 };

@@ -9,9 +9,9 @@ void ServiceQueue::set_telemetry(telemetry::Hub* hub,
   if (auto* t = telemetry::tracer(hub_)) {
     track_ = t->track(track_name, "service");
   }
-  if (auto* m = telemetry::metrics(hub_)) {
-    completed_ctr_ = m->counter(track_name + ".completed");
-    rejected_ctr_ = m->counter(track_name + ".rejected");
+  if (auto* r = telemetry::counter_store(hub_, own_counters_)) {
+    completed_ctr_ = r->counter(track_name + ".completed");
+    rejected_ctr_ = r->counter(track_name + ".rejected");
   }
   // Worker 0 reuses the base track so a single-worker queue's trace output
   // is unchanged; extra workers allocate their tracks lazily on first use.
@@ -44,8 +44,7 @@ void ServiceQueue::trace_depth() {
 bool ServiceQueue::enqueue(Duration service_time, std::function<void()> on_done,
                           const char* label) {
   if (pending_.size() >= capacity_) {
-    ++rejected_;
-    if (rejected_ctr_) rejected_ctr_->add();
+    rejected_ctr_->add();
     return false;
   }
   pending_.push_back(
@@ -102,9 +101,8 @@ void ServiceQueue::finish(std::size_t worker, const Job& job) {
   workers_[worker].completed += 1;
   workers_[worker].busy_time += job.service_time;
   --busy_;
-  ++completed_;
   total_busy_ += job.service_time;
-  if (completed_ctr_) completed_ctr_->add();
+  completed_ctr_->add();
   trace_depth();
   if (job.on_done) job.on_done();
   try_start();

@@ -30,7 +30,9 @@ class ServiceQueue {
   /// it, modelling connection-pool / request-queue overflow under overload.
   ServiceQueue(Scheduler& sched, std::size_t capacity =
                                      std::numeric_limits<std::size_t>::max())
-      : sched_(sched), capacity_(capacity) {}
+      : sched_(sched), capacity_(capacity) {
+    set_telemetry(nullptr, "");
+  }
 
   ServiceQueue(const ServiceQueue&) = delete;
   ServiceQueue& operator=(const ServiceQueue&) = delete;
@@ -63,9 +65,9 @@ class ServiceQueue {
   Duration backlog() const;
 
   /// Total jobs completed and total busy time, for utilisation reports.
-  std::uint64_t completed() const { return completed_; }
+  std::uint64_t completed() const { return completed_ctr_->value(); }
   Duration total_busy_time() const { return total_busy_; }
-  std::uint64_t rejected() const { return rejected_; }
+  std::uint64_t rejected() const { return rejected_ctr_->value(); }
 
   /// Per-worker utilisation, for the concurrent-RPC telemetry tracks and the
   /// ablation bench's load-balance report.
@@ -102,6 +104,7 @@ class ServiceQueue {
   telemetry::Hub* hub_ = nullptr;
   telemetry::TrackId track_ = 0;
   std::string track_name_;
+  telemetry::Registry own_counters_;  // counter store when metrics are off
   telemetry::Counter* completed_ctr_ = nullptr;
   telemetry::Counter* rejected_ctr_ = nullptr;
   std::size_t capacity_;
@@ -109,8 +112,6 @@ class ServiceQueue {
   std::size_t busy_ = 0;
   std::deque<Job> pending_;
   std::vector<Worker> workers_ = std::vector<Worker>(1);
-  std::uint64_t completed_ = 0;
-  std::uint64_t rejected_ = 0;
   Duration total_busy_ = 0;
 };
 

@@ -9,10 +9,10 @@
 // same seed produce byte-identical metrics.csv files.
 //
 // Cost model: instruments are registered once (map lookup + allocation) and
-// then updated through stable pointers (one add/branch per event), cheap
-// enough to stay enabled in benches. With telemetry disabled the accessors
-// in telemetry.hpp return nullptr and callers skip every call site; a
-// disabled registry stays empty (the disabled-mode unit test asserts this).
+// then updated through stable pointers (one add per event), cheap enough to
+// stay enabled in benches. Counters always count: with telemetry off they
+// bind to a component's own Registry (telemetry::counter_store), and the
+// disabled hub's registry stays empty (the disabled-mode test asserts it).
 
 #include <cstdint>
 #include <map>

@@ -3,13 +3,16 @@
 // flight recorder, watchdogs) — one of each per simulation.
 //
 // Components hold a `telemetry::Hub*` (nullptr or disabled = off) and guard
-// every instrumentation site with the accessors below:
+// every span, journal, gauge and histogram site with the accessors below:
 //
-//   if (auto* m = telemetry::metrics(hub_)) m->counter("x")->add();
 //   if (auto* t = telemetry::tracer(hub_)) t->complete(track_, "op", t0, d);
 //   if (auto* f = telemetry::flight(hub_)) f->record(now, "relayer", ...);
 //
-// Two off switches:
+// Counters are the components' own accounting, so they always count: each
+// binds once via counter_store() (below) and is bumped with an unguarded
+// add(); the components' stats accessors read the same counter.
+//
+// Two off switches (counters keep counting, into the private stores):
 //   * runtime — a Hub is disabled by default; Testbed enables it only for
 //     telemetry runs. Disabled cost is a single pointer/bool check per site
 //     (measured < 2% bench wall time; see DESIGN.md §4d). The flight()
@@ -31,6 +34,7 @@
 // tests wire component pointers. One hub per experiment keeps the parallel
 // sweep runner race-free — never share a hub across worker threads.
 
+#include <cassert>
 #include <string>
 #include <string_view>
 
@@ -124,5 +128,17 @@ inline constexpr Sampler* sampler(Hub*) { return nullptr; }
 inline constexpr Watchdog* watchdog(Hub*) { return nullptr; }
 
 #endif
+
+/// Where a component (re)binds its counters: the hub's registry when
+/// metrics are on (metrics.csv and the series carry them), else `own`, its
+/// private store — nullptr once they are bound there. Bind before anything
+/// is counted.
+inline Registry* counter_store(Hub* hub, Registry& own) {
+  own.for_each_scalar([](const std::string&, [[maybe_unused]] double v) {
+    assert(v == 0 && "counters rebound after counting began");
+  });
+  if (Registry* m = metrics(hub)) return m;
+  return own.size() == 0 ? &own : nullptr;
+}
 
 }  // namespace telemetry

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -80,8 +81,12 @@ class Value {
   /// Object: value under `key`, nullptr when absent (or not an object).
   const Value* find(std::string_view key) const;
 
-  /// Array: appends an element.
-  void push_back(Value value) { items().push_back(std::move(value)); }
+  /// Array: appends an element, constructed in place (moving a temporary
+  /// null Value in reads as uninitialized to GCC 12's flow analysis).
+  template <typename T>
+  void push_back(T&& value) {
+    items().emplace_back(std::forward<T>(value));
+  }
 
   std::size_t size() const;
 

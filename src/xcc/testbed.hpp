@@ -64,8 +64,9 @@ struct TestbedConfig {
   bool invariant_fail_fast = true;
 
   /// Enables the telemetry hub (metrics registry + tracer) and wires every
-  /// component into it. Off by default: instrumented call sites then cost
-  /// one null-check each.
+  /// component into it. Off by default: gauge, histogram and span sites
+  /// then cost one null-check each, and counters count into each
+  /// component's own store.
   bool telemetry = false;
 
   /// Connection graph to deploy. Defaults to the paper's two-chain pair;

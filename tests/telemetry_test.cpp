@@ -1,6 +1,7 @@
 // Unit tests for the telemetry subsystem: instrument semantics, registry
-// snapshot determinism, trace-event JSON round-trip, disabled-mode no-ops
-// and Status-reporting on export I/O failure.
+// snapshot determinism, trace-event JSON round-trip, disabled-mode no-ops,
+// Status-reporting on export I/O failure and the components' one counter
+// store (counts identical with telemetry on and off).
 
 #include <gtest/gtest.h>
 
@@ -8,11 +9,15 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "relayer/events.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/telemetry.hpp"
 #include "xcc/experiment.hpp"
+#include "xcc/mesh.hpp"
+#include "xcc/workload.hpp"
 
 namespace {
 
@@ -404,6 +409,205 @@ TEST(TelemetryE2ETest, IdenticalRunsProduceIdenticalArtifacts) {
 }
 
 #endif  // IBC_TELEMETRY_DISABLED
+
+// ---------------------------------------------------------------------------
+// One counter store: each component count lives in one telemetry::Counter,
+// bound to the hub's registry on telemetry runs and to the component's own
+// registry otherwise. Turning telemetry on must change no count, and on a
+// telemetry run every accessor must read the registry counter of its name.
+
+/// Every count accessor of a finished run, keyed by the registry name its
+/// counter carries on a telemetry run.
+using Counts = std::vector<std::pair<std::string, std::uint64_t>>;
+
+struct CountedRun {
+  Counts counts;
+  std::vector<relayer::Relayer::Stats> relayers;
+  std::vector<relayer::QueryCache::Stats> caches;
+};
+
+/// Drives a fixed-seed transfer along `route` with `relayers_per_hop`
+/// cache-enabled relayers per hop under network `faults`, then reads every
+/// count accessor. Counters are checked against the hub registry before the
+/// testbed goes away.
+CountedRun run_counted(xcc::TopologyConfig topology, std::vector<int> route,
+                       int relayers_per_hop, net::FaultProfile faults,
+                       bool telemetry) {
+  xcc::TestbedConfig tc;
+  tc.topology = std::move(topology);
+  tc.seed = 2024;
+  tc.machines = 2;
+  tc.validators_per_chain = 4;
+  tc.telemetry = telemetry;
+  tc.relayer_wallets = static_cast<int>(route.size() - 1) * relayers_per_hop;
+  tc.fund_users_on_all_chains = true;
+  // The burst block's event frame overflows: failed frames (§V), recovered
+  // by the relayers' clear passes.
+  tc.rpc_cost.websocket_max_frame_bytes = 64 * 1024;
+  xcc::Testbed tb(tc);
+  const sim::TimePoint limit = sim::seconds(3'000);
+  const xcc::MeshSetupResult mesh = xcc::establish_mesh(tb, limit);
+  auto hops = xcc::route_hops(mesh, tc.topology, route);
+  if (!mesh.ok || !hops.is_ok()) {
+    ADD_FAILURE() << "setup failed: " << mesh.error;
+    return {};
+  }
+  tb.network().set_fault_profile(faults);
+  relayer::RelayerConfig rc;
+  rc.query_cache.enabled = true;
+  rc.clear_interval = 10;
+  auto fleet = xcc::start_relayer_fleet(tb, hops.value(), relayers_per_hop,
+                                        rc, nullptr);
+  xcc::WorkloadConfig wc;
+  wc.total_transfers = 120;
+  wc.msgs_per_tx = 20;
+  std::vector<ibc::ChannelId> onward;
+  for (std::size_t h = 1; h < hops.value().size(); ++h) {
+    onward.push_back(hops.value()[h].channel_a);
+  }
+  xcc::TransferWorkload workload(tb, hops.value().front(), wc, nullptr,
+                                 std::move(onward));
+  workload.start();
+  tb.run_until_height(tb.chain(0).ledger->height() + 60, limit);
+
+  CountedRun run;
+  const auto add = [&](const std::string& name, std::uint64_t value) {
+    run.counts.emplace_back(name, value);
+  };
+  const net::Network& net = tb.network();
+  add("net.messages", net.messages_sent());
+  add("net.bytes", net.bytes_sent());
+  add("net.dropped", net.messages_dropped());
+  add("net.duplicated", net.messages_duplicated());
+  add("net.delayed", net.messages_delayed());
+  for (int i = 0; i < tb.chain_count(); ++i) {
+    const std::string p =
+        i == 0 ? "src" : i == 1 ? "dst" : "c" + std::to_string(i);
+    xcc::ChainDeployment& c = tb.chain(i);
+    add(p + ".rounds", c.engine->total_rounds());
+    add(p + ".failed_rounds", c.engine->failed_rounds());
+    add(p + ".empty_blocks", c.engine->empty_blocks());
+    add(p + ".mempool.rejected_full", c.mempool->rejected_full());
+    add(p + ".mempool.rejected_checktx", c.mempool->rejected_checktx());
+    add(p + ".mempool.evicted_recheck", c.mempool->evicted_recheck());
+    for (std::size_t m = 0; m < c.servers.size(); ++m) {
+      const std::string rpc = p + ".m" + std::to_string(m) + ".rpc";
+      add(rpc + ".completed", c.servers[m]->requests_served());
+      add(rpc + ".rejected", c.servers[m]->requests_rejected());
+      add(rpc + ".ws_frames_oversize",
+          c.servers[m]->frames_dropped_oversize());
+    }
+  }
+  for (std::size_t k = 0; k < fleet.size(); ++k) {
+    const std::string r = "relayer" + std::to_string(k);
+    const relayer::Relayer::Stats st = fleet[k]->stats();
+    add(r + ".packets_relayed", st.packets_relayed);
+    add(r + ".packets_completed", st.packets_completed);
+    add(r + ".packets_timed_out", st.packets_timed_out);
+    add(r + ".redundant_errors", st.redundant_errors);
+    add(r + ".frames_failed", st.frames_failed);
+    add(r + ".recv_txs_failed", st.recv_txs_failed);
+    add(r + ".ack_txs_failed", st.ack_txs_failed);
+    add(r + ".pull.chunk_queries", st.chunk_queries);
+    add(r + ".pull.chunks_skipped", st.chunk_queries_skipped);
+    add(r + ".pull.query_failures", st.pull_query_failures);
+    add(r + ".pull.ack_decode_failures", st.ack_decode_failures);
+    add(r + ".abandoned_packets", st.abandoned_packets);
+    add(r + ".coordination_skipped", st.coordination_skipped);
+    add(r + ".routing_skipped", st.routing_skipped);
+    const relayer::QueryCache::Stats cs = fleet[k]->query_cache().stats();
+    add(r + ".query_cache.hits", cs.hits);
+    add(r + ".query_cache.misses", cs.misses);
+    add(r + ".query_cache.insertions", cs.insertions);
+    add(r + ".query_cache.evictions", cs.evictions);
+    add(r + ".query_cache.invalidations", cs.invalidations);
+    add(r + ".query_cache.stale_rejections", cs.stale_rejections);
+    run.relayers.push_back(st);
+    run.caches.push_back(cs);
+  }
+
+  const telemetry::Registry& reg = tb.hub()->registry();
+  if (telemetry::metrics(tb.hub()) == nullptr) {
+    EXPECT_EQ(reg.size(), 0u);  // counted privately, hub stays empty
+  } else {
+    for (const auto& [name, value] : run.counts) {
+      const telemetry::Counter* c = reg.find_counter(name);
+      if (c == nullptr) {
+        ADD_FAILURE() << "no registry counter " << name;
+        continue;
+      }
+      EXPECT_EQ(c->value(), value) << name;
+    }
+  }
+  for (auto& r : fleet) r->stop();
+  return run;
+}
+
+/// Sum of the counts whose name ends in `suffix`.
+std::uint64_t total(const CountedRun& run, const std::string& suffix) {
+  std::uint64_t sum = 0;
+  for (const auto& [name, value] : run.counts) {
+    if (name.size() >= suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+      sum += value;
+    }
+  }
+  return sum;
+}
+
+void expect_same_counts(const CountedRun& off, const CountedRun& on) {
+  ASSERT_EQ(off.counts.size(), on.counts.size());
+  for (std::size_t i = 0; i < off.counts.size(); ++i) {
+    EXPECT_EQ(off.counts[i], on.counts[i]);
+  }
+  ASSERT_EQ(off.relayers.size(), on.relayers.size());
+  for (std::size_t k = 0; k < off.caches.size(); ++k) {
+    EXPECT_EQ(off.caches[k].bytes, on.caches[k].bytes);
+  }
+  // The run did real work: the checks above compared live counts.
+  for (const char* name :
+       {".packets_relayed", ".packets_completed", ".frames_failed",
+        ".query_cache.hits", ".ws_frames_oversize", "net.duplicated",
+        "net.delayed", ".rpc.completed"}) {
+    EXPECT_GT(total(on, name), 0u) << name;
+  }
+}
+
+/// Duplicates and delays, after setup: they move the network fault counters
+/// without losing any message.
+net::FaultProfile reordering_faults() {
+  net::FaultProfile faults;
+  faults.duplicate_probability = 0.01;
+  faults.delay_probability = 0.02;
+  faults.max_extra_delay = sim::millis(300);
+  return faults;
+}
+
+TEST(CounterStore, PairCountsIgnoreTelemetryAndMatchRegistry) {
+  net::FaultProfile faults = reordering_faults();
+  faults.drop_probability = 0.002;
+  const auto pair = xcc::TopologyConfig::two_chain();
+  const CountedRun off = run_counted(pair, {0, 1}, 2, faults, false);
+  const CountedRun on = run_counted(pair, {0, 1}, 2, faults, true);
+  expect_same_counts(off, on);
+  EXPECT_GT(total(on, "net.dropped"), 0u);
+  ASSERT_EQ(on.relayers.size(), 2u);
+  // Two racing relayers on one channel: the §IV-A redundant failures.
+  EXPECT_GT(on.relayers[0].redundant_errors + on.relayers[1].redundant_errors,
+            0u);
+}
+
+TEST(CounterStore, MeshCountsIgnoreTelemetryAndMatchRegistry) {
+  const auto mesh = xcc::TopologyConfig::full_mesh(3);
+  const CountedRun off =
+      run_counted(mesh, {0, 1, 2}, 1, reordering_faults(), false);
+  const CountedRun on =
+      run_counted(mesh, {0, 1, 2}, 1, reordering_faults(), true);
+  expect_same_counts(off, on);
+  ASSERT_EQ(on.relayers.size(), 2u);
+  EXPECT_GT(on.relayers[1].packets_relayed, 0u);  // the second hop relays
+}
 
 // ---------------------------------------------------------------------------
 // Host-time profiler (telemetry/profiler.hpp).
