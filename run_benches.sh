@@ -12,7 +12,7 @@
 #                               (TSan over the parallel
 #                               runner + determinism + telemetry tests, then
 #                               ASan+UBSan over the invariant checker, fuzz
-#                               scenarios and relayer/query-cache regression
+#                               scenarios and relayer/RPC/query-cache regression
 #                               tests), the golden-figure regression suite
 #                               (plus every bench owning a CSV in
 #                               bench/golden/ rerun at default settings; each
@@ -101,14 +101,15 @@ if [ "$1" = "--check" ]; then
     -R 'Parallel|Determinism|Telemetry|Tracer|Registry|Counter|Gauge|Histogram|StepLog|DisabledMode')
   phase_ok
 
-  phase "ASan+UBSan: invariant checker + fuzz scenarios + relayer + store property"
+  phase "ASan+UBSan: invariant checker + fuzz scenarios + relayer + RPC + store property"
   cmake -B build-asan -S . -DADDRESS_SANITIZER=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan -j --target test_invariants test_faults fuzz_scenarios \
     test_relayer_behavior test_query_cache test_rpc_relayer test_campaigns test_lifecycle
   # StoreModelProperty/StoreProperty run the randomized-op store model tests
-  # (hash index, arena, spill values, compaction) under ASan.
+  # (hash index, arena, spill values, compaction) under ASan. RpcFixture
+  # covers responses and frames that share the ledger's block records.
   (cd build-asan && ctest --output-on-failure \
-    -R 'InvariantChecker|NetworkFault|TimeoutPath|CodecProperty|RelayerFixture|QueryCache|StoreModelProperty|StoreProperty|Campaign|ClientLifecycleFixture|RestartFixture|FrameFixture')
+    -R 'InvariantChecker|NetworkFault|TimeoutPath|CodecProperty|RelayerFixture|RpcFixture|QueryCache|StoreModelProperty|StoreProperty|Campaign|ClientLifecycleFixture|RestartFixture|FrameFixture')
   ./build-asan/src/check/fuzz_scenarios --seeds=40
   phase_ok
 

@@ -5,9 +5,14 @@
 // every transaction (consumed by RPC `tx_search`-style queries — whose large
 // response payloads are a core finding of the paper), and a hash -> location
 // index.
+//
+// Committed data is immutable and shared: each block is one CommittedBlock
+// record behind a shared_ptr, and RPC responses, WebSocket frames and
+// relayer cache entries hold that pointer plus an index instead of copies.
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "chain/app.hpp"
@@ -36,6 +41,20 @@ struct PacketEventEntry {
   }
 };
 
+/// One committed block as the ledger keeps it. Never modified after
+/// append(); readers share it by pointer, so it outlives the ledger's own
+/// vectors growing and stays valid for as long as any response holds it.
+struct CommittedBlock {
+  Block block;
+  std::vector<DeliverTxResult> results;  // index-aligned with block.txs
+  std::vector<TxHash> tx_hashes;         // index-aligned; hashed once here
+  std::size_t event_bytes = 0;           // sum of results' encoded sizes
+  crypto::Digest app_hash_after{};
+  Commit seen_commit;
+};
+
+using CommittedBlockPtr = std::shared_ptr<const CommittedBlock>;
+
 class Ledger {
  public:
   explicit Ledger(ChainId chain_id) : chain_id_(std::move(chain_id)) {}
@@ -56,6 +75,9 @@ class Ledger {
   const Commit* seen_commit(Height h) const;
 
   Height height() const { return static_cast<Height>(blocks_.size()); }
+
+  /// The shared record of block `h` (null for heights not yet committed).
+  CommittedBlockPtr committed(Height h) const;
 
   /// 1-based access; returns nullptr for heights not yet committed.
   const Block* block_at(Height h) const;
@@ -104,12 +126,11 @@ class Ledger {
 
  private:
   void index_block(std::size_t block_idx);
+  /// Record of block `h`, or nullptr for heights not yet committed.
+  const CommittedBlock* record(Height h) const;
+
   ChainId chain_id_;
-  std::vector<Block> blocks_;
-  std::vector<std::vector<DeliverTxResult>> results_;
-  std::vector<crypto::Digest> app_hashes_;
-  std::vector<Commit> seen_commits_;
-  std::vector<std::size_t> event_bytes_;  // cached per-block event payload
+  std::vector<CommittedBlockPtr> blocks_;
   std::map<TxHash, TxLocation> tx_index_;
   std::uint64_t total_txs_ = 0;
   bool packet_index_enabled_ = false;

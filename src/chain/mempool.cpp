@@ -109,10 +109,9 @@ std::vector<Tx> Mempool::reap(std::uint64_t max_gas,
   return out;
 }
 
-void Mempool::update_after_commit(const std::vector<Tx>& committed) {
-  std::unordered_set<TxHash, TxHashHasher> committed_hashes;
-  committed_hashes.reserve(committed.size() * 2);
-  for (const Tx& tx : committed) committed_hashes.insert(tx.hash());
+void Mempool::update_after_commit(const std::vector<TxHash>& committed) {
+  const std::unordered_set<TxHash, TxHashHasher> committed_hashes(
+      committed.begin(), committed.end(), committed.size() * 2);
 
   // A sender maps to exactly one shard, so shard-local FIFO rechecks see
   // the same per-sender pending counts as a global FIFO pass would.

@@ -54,10 +54,10 @@ class Mempool {
   /// Does not remove them (they leave the pool on commit).
   std::vector<Tx> reap(std::uint64_t max_gas, std::size_t max_bytes) const;
 
-  /// Drops committed transactions and re-checks the remainder against the
-  /// post-block state (stale sequence numbers get evicted, as in Tendermint's
-  /// recheck).
-  void update_after_commit(const std::vector<Tx>& committed);
+  /// Drops the committed transactions (by tx hash) and re-checks the
+  /// remainder against the post-block state (stale sequence numbers get
+  /// evicted, as in Tendermint's recheck).
+  void update_after_commit(const std::vector<TxHash>& committed);
 
   std::size_t size() const { return count_; }
   bool contains(const TxHash& hash) const { return hashes_.contains(hash); }

@@ -450,7 +450,7 @@ void InvariantChecker::process_events(ChainState& c, chain::Height height,
     } else if (ev.type == "write_acknowledgement") {
       ChannelTrack& ch = c.channels[{p.dst_port, p.dst_channel}];
       ibc::Acknowledgement ack;
-      const std::string raw = ev.attribute("packet_ack");
+      const std::string& raw = ev.attribute("packet_ack");
       if (!ibc::Acknowledgement::decode(util::to_bytes(raw), ack)) {
         fail(c.h.id, height, "event-format",
              "undecodable packet_ack for sequence " +

@@ -400,15 +400,16 @@ void Engine::commit_block(chain::Height height, int round) {
         }
         (void)app_.end_block(height);
         const crypto::Digest app_hash = app_.commit();
-        mempool_.update_after_commit(block.txs);
         ledger_.append(std::move(block), std::move(results), app_hash,
                        std::move(seen));
-        const chain::Height committed_height = ledger_.height();
-        const chain::Block* b = ledger_.block_at(committed_height);
-        const auto* res = ledger_.results_at(committed_height);
-        assert(b && res);
+        const chain::CommittedBlockPtr rec =
+            ledger_.committed(ledger_.height());
+        assert(rec);
+        // The ledger hashed each tx once at append; the mempool drops the
+        // committed txs by those same hashes.
+        mempool_.update_after_commit(rec->tx_hashes);
         for (const auto& cb : block_callbacks_) {
-          if (cb) cb(*b, *res);
+          if (cb) cb(rec->block, rec->results);
         }
         schedule_next_height();
       });

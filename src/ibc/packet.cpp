@@ -1,5 +1,7 @@
 #include "ibc/packet.hpp"
 
+#include <charconv>
+
 namespace ibc {
 
 namespace {
@@ -72,11 +74,12 @@ crypto::Digest Packet::commitment() const {
 
 std::optional<Packet> packet_from_event(const chain::Event& event) {
   Packet p;
-  const std::string seq = event.attribute("packet_sequence");
-  if (seq.empty()) return std::nullopt;
-  char* end = nullptr;
-  p.sequence = std::strtoull(seq.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return std::nullopt;
+  const std::string& seq = event.attribute("packet_sequence");
+  const auto [seq_end, seq_err] =
+      std::from_chars(seq.data(), seq.data() + seq.size(), p.sequence);
+  if (seq_err != std::errc{} || seq_end != seq.data() + seq.size()) {
+    return std::nullopt;
+  }
 
   p.source_port = event.attribute("packet_src_port");
   p.source_channel = event.attribute("packet_src_channel");
@@ -88,13 +91,13 @@ std::optional<Packet> packet_from_event(const chain::Event& event) {
   }
 
   // Timeout height is rendered "revision-height" (e.g. "0-1234").
-  const std::string th = event.attribute("packet_timeout_height");
+  const std::string_view th = event.attribute("packet_timeout_height");
   const std::size_t dash = th.find('-');
-  if (dash == std::string::npos) return std::nullopt;
+  if (dash == std::string_view::npos) return std::nullopt;
   p.timeout_height =
-      static_cast<std::int64_t>(std::strtoull(th.c_str() + dash + 1, nullptr, 10));
-  p.timeout_timestamp = static_cast<std::int64_t>(std::strtoull(
-      event.attribute("packet_timeout_timestamp").c_str(), nullptr, 10));
+      static_cast<std::int64_t>(chain::parse_u64(th.substr(dash + 1)));
+  p.timeout_timestamp = static_cast<std::int64_t>(
+      chain::parse_u64(event.attribute("packet_timeout_timestamp")));
 
   p.data = util::to_bytes(event.attribute("packet_data"));
   return p;

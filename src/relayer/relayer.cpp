@@ -281,11 +281,11 @@ void Relayer::on_frame_a(const rpc::NewBlockFrame& frame) {
     }
     return;
   }
-  for (const chain::Event& ev : frame.events) {
+  for (const chain::Event& ev : frame.events()) {
     if (ev.type == "send_packet") {
       if (ev.attribute("packet_src_channel") != path_.channel_a) continue;
       const std::uint64_t seq =
-          std::strtoull(ev.attribute("packet_sequence").c_str(), nullptr, 10);
+          chain::parse_u64(ev.attribute("packet_sequence"));
       if (seq == 0 || packets_.contains(seq)) continue;
       if (!adopts(seq, frame.height)) continue;
       PacketState st;
@@ -297,7 +297,7 @@ void Relayer::on_frame_a(const rpc::NewBlockFrame& frame) {
     } else if (ev.type == "acknowledge_packet") {
       if (ev.attribute("packet_src_channel") != path_.channel_a) continue;
       const std::uint64_t seq =
-          std::strtoull(ev.attribute("packet_sequence").c_str(), nullptr, 10);
+          chain::parse_u64(ev.attribute("packet_sequence"));
       record(Step::kAckExtraction, seq);
     }
   }
@@ -343,11 +343,11 @@ void Relayer::on_frame_b(const rpc::NewBlockFrame& frame) {
                              // still drives acks for our own recv txs
 
   std::vector<ibc::Sequence> ack_seqs;
-  for (const chain::Event& ev : frame.events) {
+  for (const chain::Event& ev : frame.events()) {
     if (ev.type != "write_acknowledgement") continue;
     if (ev.attribute("packet_src_channel") != path_.channel_a) continue;
     const std::uint64_t seq =
-        std::strtoull(ev.attribute("packet_sequence").c_str(), nullptr, 10);
+        chain::parse_u64(ev.attribute("packet_sequence"));
     const auto it = packets_.find(seq);
     if (it == packets_.end()) continue;  // not a packet we are tracking
     PacketState& st = it->second;
@@ -549,7 +549,7 @@ void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
         bool failed = any_failed;
         if (res.is_ok()) {
           for (const rpc::TxResponse& tx : res.value().txs) {
-            for (const chain::Event& ev : tx.result.events) {
+            for (const chain::Event& ev : tx.result().events) {
               if (ev.type != event_type) continue;
               auto pkt = ibc::packet_from_event(ev);
               if (!pkt || pkt->source_channel != path_.channel_a) continue;
@@ -1425,7 +1425,7 @@ void Relayer::run_clear(ClearOp op, std::function<void()> done) {
               }
               if (res.is_ok()) {
                 for (const rpc::TxResponse& tx : res.value().txs) {
-                  for (const chain::Event& ev : tx.result.events) {
+                  for (const chain::Event& ev : tx.result().events) {
                     if (ev.type != "send_packet") continue;
                     auto pkt = ibc::packet_from_event(ev);
                     if (!pkt || pkt->source_channel != path_.channel_a) {
@@ -1482,7 +1482,7 @@ void Relayer::run_ack_scan(ClearOp op, std::function<void()> done) {
         }
         std::vector<ibc::Sequence> ready;
         for (const rpc::TxResponse& tx : res.value().txs) {
-          for (const chain::Event& ev : tx.result.events) {
+          for (const chain::Event& ev : tx.result().events) {
             if (ev.type != "write_acknowledgement") continue;
             auto pkt = ibc::packet_from_event(ev);
             if (!pkt || pkt->source_channel != path_.channel_a) continue;

@@ -196,9 +196,9 @@ void Wallet::confirm_loop(std::size_t account_idx, chain::TxHash hash,
         if (res.is_ok()) {
           if (acct.unconfirmed > 0) --acct.unconfirmed;
           ++txs_committed_;
-          fees_paid_ += res.value().tx.fee;
+          fees_paid_ += res.value().tx().fee;
           SubmitOutcome outcome;
-          outcome.status = res.value().result.status;
+          outcome.status = res.value().result().status;
           outcome.hash = hash;
           outcome.height = res.value().height;
           outcome.committed = true;

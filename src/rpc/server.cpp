@@ -123,18 +123,13 @@ void Server::broadcast_tx_sync(net::MachineId client, chain::Tx tx,
       "broadcast_tx_sync");
 }
 
-TxResponse Server::make_response(chain::Height height,
-                                 std::uint32_t index) const {
-  const chain::Block* block = ledger_.block_at(height);
-  const auto* results = ledger_.results_at(height);
-  assert(block && results && index < block->txs.size());
-  TxResponse r;
-  r.hash = block->txs[index].hash();
-  r.height = height;
-  r.index = index;
-  r.tx = block->txs[index];
-  r.result = (*results)[index];
-  return r;
+TxResponse::TxResponse(chain::CommittedBlockPtr rec, std::uint32_t i)
+    : height(rec->block.header.height), index(i), block(std::move(rec)) {}
+
+chain::DeliverTxResult& TxResponse::mutable_result() {
+  auto copy = std::make_shared<chain::DeliverTxResult>(result());
+  edited_ = copy;
+  return *copy;
 }
 
 void Server::query_tx(net::MachineId client, chain::TxHash hash,
@@ -149,7 +144,7 @@ void Server::query_tx(net::MachineId client, chain::TxHash hash,
                                                        hash.data(), 8))));
           return;
         }
-        cb(make_response(loc->height, loc->index));
+        cb(TxResponse(ledger_.committed(loc->height), loc->index));
       },
       [cb]() {
         cb(util::Status::error(util::ErrorCode::kUnavailable,
@@ -179,21 +174,21 @@ void Server::tx_search_height(
   roundtrip(
       client, 192, service, resp_hint,
       [this, height, page, per_page, cb]() {
-        const chain::Block* block = ledger_.block_at(height);
-        if (!block) {
+        chain::CommittedBlockPtr rec = ledger_.committed(height);
+        if (!rec) {
           cb(util::Status::error(util::ErrorCode::kNotFound,
                                  "no block at height " +
                                      std::to_string(height)));
           return;
         }
         TxSearchPage out;
-        out.total_count = static_cast<std::uint32_t>(block->txs.size());
+        const std::size_t n = rec->block.txs.size();
+        out.total_count = static_cast<std::uint32_t>(n);
         const std::size_t begin =
             static_cast<std::size_t>(page - 1) * per_page;
-        const std::size_t end =
-            std::min<std::size_t>(begin + per_page, block->txs.size());
+        const std::size_t end = std::min<std::size_t>(begin + per_page, n);
         for (std::size_t i = begin; i < end; ++i) {
-          out.txs.push_back(make_response(height, static_cast<std::uint32_t>(i)));
+          out.txs.emplace_back(rec, static_cast<std::uint32_t>(i));
         }
         cb(std::move(out));
       },
@@ -208,130 +203,82 @@ void Server::query_packet_events(
     net::MachineId client, chain::Height height, const std::string& event_type,
     std::uint64_t seq_begin, std::uint64_t seq_end,
     std::function<void(util::Result<TxSearchPage>)> cb) {
-  // The indexer evaluates the query against every event in the block, then
-  // marshals only the matching transactions. With the indexed-tx_search
-  // mitigation on, the match set comes from the ledger's commit-time packet
-  // index instead — identical results, O(page) service time.
-  const bool indexed = cost_.indexed_tx_search && ledger_.packet_index_enabled();
-  auto matches = [this, height, event_type, seq_begin, seq_end,
-                  indexed]() -> std::vector<std::uint32_t> {
-    if (indexed) {
-      return ledger_.indexed_packet_txs(height, event_type, seq_begin,
-                                        seq_end);
-    }
-    std::vector<std::uint32_t> out;
-    const auto* results = ledger_.results_at(height);
-    if (!results) return out;
-    for (std::uint32_t i = 0; i < results->size(); ++i) {
-      for (const chain::Event& ev : (*results)[i].events) {
-        if (ev.type != event_type) continue;
-        const std::string seq_str = ev.attribute("packet_sequence");
-        if (seq_str.empty()) continue;
-        const std::uint64_t seq = std::strtoull(seq_str.c_str(), nullptr, 10);
-        if (seq >= seq_begin && seq <= seq_end) {
-          out.push_back(i);
-          break;
-        }
-      }
-    }
-    return out;
-  };
-
-  auto service = [this, height, matches, indexed]() -> sim::Duration {
-    std::size_t matched_bytes = 0;
-    std::size_t matched_txs = 0;
-    const auto* results = ledger_.results_at(height);
-    if (results) {
-      for (std::uint32_t i : matches()) {
-        matched_bytes += (*results)[i].encoded_size();
-        ++matched_txs;
-      }
-    }
-    const sim::Duration scan =
-        indexed ? cost_.indexed_scan_cost(1, matched_txs)
-                : cost_.scan_cost(ledger_.block_event_bytes(height));
-    return cost_.base_service + scan + cost_.marshal_cost(matched_bytes);
-  };
-
-  roundtrip(
-      client, 256, service, 1 << 20,
-      [this, height, matches, cb]() {
-        if (!ledger_.block_at(height)) {
-          cb(util::Status::error(util::ErrorCode::kNotFound,
-                                 "no block at height " +
-                                     std::to_string(height)));
-          return;
-        }
-        TxSearchPage out;
-        const auto idxs = matches();
-        out.total_count = static_cast<std::uint32_t>(idxs.size());
-        for (std::uint32_t i : idxs) out.txs.push_back(make_response(height, i));
-        if (tamper_) {
-          const util::Status st = tamper_(out);
-          if (!st.is_ok()) {
-            cb(st);
-            return;
-          }
-        }
-        cb(std::move(out));
-      },
-      [cb]() {
-        cb(util::Status::error(util::ErrorCode::kUnavailable,
-                               "RPC request queue full"));
-      },
-      "query_packet_events");
+  packet_event_query(client, height, height, event_type, seq_begin, seq_end,
+                     /*single_block=*/true, std::move(cb));
 }
 
 void Server::query_packet_events_range(
     net::MachineId client, chain::Height height_begin, chain::Height height_end,
     const std::string& event_type, std::uint64_t seq_begin,
     std::uint64_t seq_end, std::function<void(util::Result<TxSearchPage>)> cb) {
+  packet_event_query(client, height_begin, height_end, event_type, seq_begin,
+                     seq_end, /*single_block=*/false, std::move(cb));
+}
+
+void Server::packet_event_query(
+    net::MachineId client, chain::Height height_begin, chain::Height height_end,
+    const std::string& event_type, std::uint64_t seq_begin,
+    std::uint64_t seq_end, bool single_block,
+    std::function<void(util::Result<TxSearchPage>)> cb) {
+  // The indexer evaluates the query against every event of each block, then
+  // marshals only the matching transactions. With the indexed-tx_search
+  // mitigation on, the match set comes from the ledger's commit-time packet
+  // index instead — identical results, O(page) service time.
   const bool indexed = cost_.indexed_tx_search && ledger_.packet_index_enabled();
-  auto matches = [this, height_begin, height_end, event_type, seq_begin,
-                  seq_end, indexed]() {
-    std::vector<std::pair<chain::Height, std::uint32_t>> out;
-    for (chain::Height h = std::max<chain::Height>(height_begin, 1);
-         h <= std::min(height_end, ledger_.height()); ++h) {
+  const chain::Height lo = std::max<chain::Height>(height_begin, 1);
+
+  // Each height's matches are found once: at service time for the heights
+  // committed by then, at delivery for any committed while the request was
+  // in flight.
+  struct Matches {
+    TxSearchPage page;
+    chain::Height scanned_through = 0;  // heights [lo, this] are in `page`
+  };
+  auto matches = std::make_shared<Matches>();
+  matches->scanned_through = lo - 1;
+  auto scan_committed = [this, matches, height_end, event_type, seq_begin,
+                         seq_end, indexed] {
+    const chain::Height hi = std::min(height_end, ledger_.height());
+    for (chain::Height h = matches->scanned_through + 1; h <= hi; ++h) {
+      const chain::CommittedBlockPtr rec = ledger_.committed(h);
       if (indexed) {
         for (std::uint32_t i :
              ledger_.indexed_packet_txs(h, event_type, seq_begin, seq_end)) {
-          out.emplace_back(h, i);
+          matches->page.txs.emplace_back(rec, i);
         }
         continue;
       }
-      const auto* results = ledger_.results_at(h);
-      if (!results) continue;
-      for (std::uint32_t i = 0; i < results->size(); ++i) {
-        for (const chain::Event& ev : (*results)[i].events) {
+      for (std::uint32_t i = 0; i < rec->results.size(); ++i) {
+        for (const chain::Event& ev : rec->results[i].events) {
           if (ev.type != event_type) continue;
-          const std::string seq_str = ev.attribute("packet_sequence");
+          const std::string& seq_str = ev.attribute("packet_sequence");
           if (seq_str.empty()) continue;
-          const std::uint64_t seq =
-              std::strtoull(seq_str.c_str(), nullptr, 10);
+          const std::uint64_t seq = chain::parse_u64(seq_str);
           if (seq >= seq_begin && seq <= seq_end) {
-            out.emplace_back(h, i);
+            matches->page.txs.emplace_back(rec, i);
             break;
           }
         }
       }
     }
-    return out;
+    matches->scanned_through = std::max(matches->scanned_through, hi);
   };
 
-  auto service = [this, height_begin, height_end, matches,
-                  indexed]() -> sim::Duration {
-    const chain::Height lo = std::max<chain::Height>(height_begin, 1);
-    const chain::Height hi = std::min(height_end, ledger_.height());
-    const auto matched = matches();
+  auto service = [this, lo, height_end, matches, scan_committed, indexed,
+                  single_block]() -> sim::Duration {
+    scan_committed();
     std::size_t matched_bytes = 0;
-    for (const auto& [h, i] : matched) {
-      matched_bytes += (*ledger_.results_at(h))[i].encoded_size();
+    for (const TxResponse& tx : matches->page.txs) {
+      matched_bytes += tx.event_bytes();
     }
+    const chain::Height hi = std::min(height_end, ledger_.height());
     sim::Duration scan = sim::kDurationZero;
     if (indexed) {
       const std::size_t probed =
-          hi >= lo ? static_cast<std::size_t>(hi - lo + 1) : 0;
-      scan = cost_.indexed_scan_cost(probed, matched.size());
+          single_block ? 1
+          : hi >= lo   ? static_cast<std::size_t>(hi - lo + 1)
+                       : 0;
+      scan = cost_.indexed_scan_cost(probed, matches->page.txs.size());
     } else {
       std::size_t scanned = 0;
       for (chain::Height h = lo; h <= hi; ++h) {
@@ -344,11 +291,16 @@ void Server::query_packet_events_range(
 
   roundtrip(
       client, 256, service, 1 << 20,
-      [matches, cb, this]() {
-        TxSearchPage out;
-        const auto locs = matches();
-        out.total_count = static_cast<std::uint32_t>(locs.size());
-        for (const auto& [h, i] : locs) out.txs.push_back(make_response(h, i));
+      [this, height_begin, single_block, matches, scan_committed, cb]() {
+        if (single_block && !ledger_.block_at(height_begin)) {
+          cb(util::Status::error(util::ErrorCode::kNotFound,
+                                 "no block at height " +
+                                     std::to_string(height_begin)));
+          return;
+        }
+        scan_committed();
+        TxSearchPage out = std::move(matches->page);
+        out.total_count = static_cast<std::uint32_t>(out.txs.size());
         if (tamper_) {
           const util::Status st = tamper_(out);
           if (!st.is_ok()) {
@@ -362,7 +314,7 @@ void Server::query_packet_events_range(
         cb(util::Status::error(util::ErrorCode::kUnavailable,
                                "RPC request queue full"));
       },
-      "query_packet_events_range");
+      single_block ? "query_packet_events" : "query_packet_events_range");
 }
 
 void Server::abci_query(
@@ -449,17 +401,16 @@ void Server::unsubscribe(SubscriptionId id) {
 
 void Server::on_block_committed(
     const chain::Block& block,
-    const std::vector<chain::DeliverTxResult>& results) {
+    const std::vector<chain::DeliverTxResult>& /*results*/) {
   if (subscriptions_.empty()) return;
 
   NewBlockFrame frame;
+  frame.block = ledger_.committed(block.header.height);
+  assert(frame.block && &frame.block->block == &block);
   frame.height = block.header.height;
   frame.block_time = block.header.time;
   frame.tx_count = block.txs.size();
-
-  std::size_t event_bytes = 0;
-  for (const auto& r : results) event_bytes += r.encoded_size();
-  frame.frame_bytes = event_bytes + 1024;
+  frame.frame_bytes = frame.block->event_bytes + 1024;
 
   if (frame.frame_bytes > cost_.websocket_max_frame_bytes) {
     // Paper §V: "Failed to collect events" — the subscriber receives the
@@ -467,11 +418,6 @@ void Server::on_block_committed(
     frame.events_ok = false;
     frames_oversize_ctr_->add();
     frame.frame_bytes = 1024;
-  } else {
-    frame.events_ok = true;
-    for (const auto& r : results) {
-      frame.events.insert(frame.events.end(), r.events.begin(), r.events.end());
-    }
   }
 
   // Pushing the frame costs the server marshal time (serialized with other

@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <ranges>
+#include <span>
 #include <vector>
 
 #include "chain/app.hpp"
@@ -32,16 +34,34 @@
 
 namespace rpc {
 
-/// A transaction as returned by query endpoints: location + execution result.
+/// A transaction as returned by query endpoints: a view of one tx of a
+/// committed block. It holds the ledger's shared record plus the tx's index,
+/// never a copy, and stays valid after the ledger grows.
 struct TxResponse {
-  chain::TxHash hash{};
+  TxResponse() = default;
+  TxResponse(chain::CommittedBlockPtr rec, std::uint32_t i);
+
   chain::Height height = 0;
   std::uint32_t index = 0;
-  chain::Tx tx;
-  chain::DeliverTxResult result;
+  chain::CommittedBlockPtr block;
+
+  /// The hash the ledger computed once at append.
+  const chain::TxHash& hash() const { return block->tx_hashes[index]; }
+  const chain::Tx& tx() const { return block->block.txs[index]; }
+  const chain::DeliverTxResult& result() const {
+    return edited_ ? *edited_ : block->results[index];
+  }
+
+  /// Fault injection (Server::set_query_tamper): a private copy of result()
+  /// to edit. Committed results never change; later result() calls on this
+  /// response, and on copies made after the edit, read the copy.
+  chain::DeliverTxResult& mutable_result();
 
   /// Event payload size of this entry (drives marshal cost).
-  std::size_t event_bytes() const { return result.encoded_size(); }
+  std::size_t event_bytes() const { return result().encoded_size(); }
+
+ private:
+  std::shared_ptr<const chain::DeliverTxResult> edited_;
 };
 
 /// Result page for tx_search.
@@ -50,7 +70,8 @@ struct TxSearchPage {
   std::uint32_t total_count = 0;  // matches across all pages
 };
 
-/// One frame pushed on the new-block WebSocket subscription.
+/// One frame pushed on the new-block WebSocket subscription. Like
+/// TxResponse it is a view: it holds the ledger's shared record.
 struct NewBlockFrame {
   chain::Height height = 0;
   sim::TimePoint block_time = 0;
@@ -59,8 +80,16 @@ struct NewBlockFrame {
   /// "Failed to collect events" instead of the event list (paper §V).
   bool events_ok = true;
   std::size_t frame_bytes = 0;
-  /// Flattened per-tx events (empty when events_ok is false).
-  std::vector<chain::Event> events;
+  chain::CommittedBlockPtr block;
+
+  /// The block's per-tx events flattened in tx order (empty when events_ok
+  /// is false).
+  auto events() const {
+    std::span<const chain::DeliverTxResult> results;
+    if (events_ok && block) results = block->results;
+    return results | std::views::transform(&chain::DeliverTxResult::events) |
+           std::views::join;
+  }
 };
 
 class Server {
@@ -100,9 +129,10 @@ class Server {
 
   /// Fault-injection hook for tests: runs on every packet-event query
   /// response (single-block and range form) after the page is assembled but
-  /// before delivery. The hook may mutate the page (e.g. corrupt a
-  /// packet_ack attribute) or return an error, which is delivered to the
-  /// client in place of the page. Unset (the default) costs nothing.
+  /// before delivery. The hook may edit the page (e.g. corrupt a packet_ack
+  /// attribute through TxResponse::mutable_result(), which edits a copy and
+  /// leaves the ledger untouched) or return an error, which is delivered to
+  /// the client in place of the page. Unset (the default) costs nothing.
   using QueryTamper = std::function<util::Status(TxSearchPage&)>;
   void set_query_tamper(QueryTamper tamper) { tamper_ = std::move(tamper); }
 
@@ -186,7 +216,8 @@ class Server {
   SubscriptionId subscribe_new_block(net::MachineId client, FrameCallback cb);
   void unsubscribe(SubscriptionId id);
 
-  /// Wire this to consensus::Engine::subscribe_block.
+  /// Wire this to consensus::Engine::subscribe_block. `block` must be
+  /// committed in this server's ledger: the frame shares its record.
   void on_block_committed(const chain::Block& block,
                           const std::vector<chain::DeliverTxResult>& results);
 
@@ -215,7 +246,16 @@ class Server {
                  std::function<void()> on_reject,
                  const char* label = nullptr);
 
-  TxResponse make_response(chain::Height height, std::uint32_t index) const;
+  /// Both packet-event endpoints: the txs of the committed blocks in
+  /// [height_begin, height_end] with an `event_type` event whose
+  /// packet_sequence lies in [seq_begin, seq_end]. `single_block` selects
+  /// the one-height form's not-found error, cost and trace label.
+  void packet_event_query(net::MachineId client, chain::Height height_begin,
+                          chain::Height height_end,
+                          const std::string& event_type,
+                          std::uint64_t seq_begin, std::uint64_t seq_end,
+                          bool single_block,
+                          std::function<void(util::Result<TxSearchPage>)> cb);
 
   sim::Scheduler& sched_;
   net::Network& network_;

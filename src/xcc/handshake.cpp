@@ -90,9 +90,9 @@ struct HandshakeDriver::Flow : std::enable_shared_from_this<Flow> {
                   self->finish(false, "cannot read handshake tx events");
                   return;
                 }
-                for (const chain::Event& ev : res.value().result.events) {
+                for (const chain::Event& ev : res.value().result().events) {
                   if (ev.type != event_type) continue;
-                  const std::string v = ev.attribute(attribute);
+                  const std::string& v = ev.attribute(attribute);
                   if (!v.empty()) {
                     next(v);
                     return;

@@ -191,13 +191,13 @@ void TransferWorkload::backfill_broadcast_records(
       config_.machine, hash,
       [this, broadcast_time](util::Result<rpc::TxResponse> res) {
         if (!res.is_ok() || !step_log_) return;
-        for (const chain::Event& ev : res.value().result.events) {
+        for (const chain::Event& ev : res.value().result().events) {
           if (ev.type != "send_packet") continue;
           if (ev.attribute("packet_src_channel") != channel_.channel_a) {
             continue;
           }
-          const std::uint64_t seq = std::strtoull(
-              ev.attribute("packet_sequence").c_str(), nullptr, 10);
+          const std::uint64_t seq =
+              chain::parse_u64(ev.attribute("packet_sequence"));
           if (seq != 0) {
             step_log_->record(relayer::Step::kTransferBroadcast, seq,
                               broadcast_time);

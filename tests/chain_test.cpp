@@ -385,7 +385,7 @@ TEST(MempoolTest, UpdateAfterCommitRemovesAndRechecks) {
   ASSERT_TRUE(pool.add(t1).is_ok());
 
   app.mark_committed(t0);  // block executed t0
-  pool.update_after_commit({t0});
+  pool.update_after_commit({t0.hash()});
   // t1 survives: its sequence (1) now matches the committed counter.
   EXPECT_EQ(pool.size(), 1u);
   EXPECT_TRUE(pool.contains(t1.hash()));
@@ -442,7 +442,8 @@ TEST(MempoolTest, PendingCountsSurviveInterleavedCommits) {
   app.mark_committed(alices[0]);
   app.mark_committed(alices[1]);
   app.mark_committed(make_tx("other-0", 0));
-  pool.update_after_commit({alices[0], alices[1], make_tx("other-0", 0)});
+  pool.update_after_commit(
+      {alices[0].hash(), alices[1].hash(), make_tx("other-0", 0).hash()});
   EXPECT_EQ(pool.size(), 7u);
   EXPECT_FALSE(pool.contains(alices[0].hash()));
   EXPECT_TRUE(pool.contains(alices[2].hash()));

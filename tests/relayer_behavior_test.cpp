@@ -296,7 +296,7 @@ TEST_F(RelayerFixture, MalformedAckIsCountedAndRecovered) {
       [&corrupted](rpc::TxSearchPage& page) {
         if (corrupted) return util::Status::ok();
         for (auto& tx : page.txs) {
-          for (auto& ev : tx.result.events) {
+          for (auto& ev : tx.mutable_result().events) {
             if (ev.type != "write_acknowledgement") continue;
             for (auto& [key, value] : ev.attributes) {
               if (key == "packet_ack") {
@@ -325,7 +325,7 @@ TEST_F(RelayerFixture, PersistentAckCorruptionAbandonsAfterBoundedRepulls) {
 
   tb->chain_b().servers[0]->set_query_tamper([](rpc::TxSearchPage& page) {
     for (auto& tx : page.txs) {
-      for (auto& ev : tx.result.events) {
+      for (auto& ev : tx.mutable_result().events) {
         if (ev.type != "write_acknowledgement") continue;
         for (auto& [key, value] : ev.attributes) {
           if (key == "packet_ack") value.clear();

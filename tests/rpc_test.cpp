@@ -4,11 +4,28 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "consensus/engine.hpp"
 #include "cosmos/app.hpp"
+#include "relayer/query_cache.hpp"
 #include "rpc/server.hpp"
 
 namespace {
+
+/// A deep copy of an event sequence, for comparing against views later.
+template <typename Events>
+std::vector<chain::Event> copy_events(const Events& events) {
+  return {events.begin(), events.end()};
+}
+
+bool same_events(const std::vector<chain::Event>& a,
+                 const std::vector<chain::Event>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const chain::Event& x, const chain::Event& y) {
+                      return x.type == y.type && x.attributes == y.attributes;
+                    });
+}
 
 struct RpcFixture : ::testing::Test {
   sim::Scheduler sched;
@@ -132,7 +149,7 @@ TEST_F(RpcFixture, QueryTxFindsCommittedTx) {
   server->query_tx(0, hash, [&](util::Result<rpc::TxResponse> res) {
     ASSERT_TRUE(res.is_ok());
     EXPECT_EQ(res.value().height, 1);
-    EXPECT_EQ(res.value().hash, hash);
+    EXPECT_EQ(res.value().hash(), hash);
     found = true;
   });
   sched.run_until(sim::seconds(1));
@@ -285,7 +302,7 @@ TEST_F(RpcFixture, WebSocketDeliversEventFrames) {
   EXPECT_TRUE(frames[0].events_ok);
   EXPECT_EQ(frames[0].height, 1);
   EXPECT_EQ(frames[0].tx_count, 2u);
-  EXPECT_EQ(frames[0].events.size(), 2u);
+  EXPECT_EQ(std::ranges::distance(frames[0].events()), 2);
 }
 
 TEST_F(RpcFixture, WebSocketSixteenMegabyteLimit) {
@@ -301,7 +318,7 @@ TEST_F(RpcFixture, WebSocketSixteenMegabyteLimit) {
   ASSERT_EQ(frames.size(), 1u);
   // Paper §V: "Failed to collect events" — header arrives, events do not.
   EXPECT_FALSE(frames[0].events_ok);
-  EXPECT_TRUE(frames[0].events.empty());
+  EXPECT_TRUE(frames[0].events().empty());
   EXPECT_EQ(server->frames_dropped_oversize(), 1u);
 }
 
@@ -316,6 +333,126 @@ TEST_F(RpcFixture, UnsubscribeStopsFrames) {
   commit_block({make_tx(1)});
   sched.run_until(sim::seconds(4));
   EXPECT_EQ(count, 1);
+}
+
+// Responses and frames are views of the ledger's shared block records: they
+// must outlive the ledger growing (its vectors reallocate many times over
+// 20 commits) and still read exactly what was committed.
+TEST_F(RpcFixture, ResponsesAndFramesOutliveLaterCommits) {
+  std::optional<rpc::NewBlockFrame> frame;
+  server->subscribe_new_block(0, [&](const rpc::NewBlockFrame& f) {
+    if (!frame) frame = f;
+  });
+  const chain::Tx tx = make_tx(1, 3);
+  commit_block({make_tx(0), tx, make_tx(2)});
+  std::optional<rpc::TxResponse> response;
+  server->query_tx(0, tx.hash(), [&](util::Result<rpc::TxResponse> res) {
+    ASSERT_TRUE(res.is_ok());
+    response = res.value();
+  });
+  sched.run_until(sched.now() + sim::seconds(2));
+  ASSERT_TRUE(frame.has_value());
+  ASSERT_TRUE(response.has_value());
+  const std::vector<chain::Event> frame_events = copy_events(frame->events());
+  const std::vector<chain::Event> tx_events = response->result().events;
+  ASSERT_EQ(frame_events.size(), 3u);
+
+  for (int i = 0; i < 20; ++i) {
+    std::vector<chain::Tx> txs;
+    for (int j = 0; j < 5; ++j) txs.push_back(make_tx(100 + 5 * i + j));
+    commit_block(std::move(txs));
+  }
+  sched.run_until(sched.now() + sim::seconds(2));
+  ASSERT_EQ(ledger.height(), 21);
+
+  EXPECT_EQ(response->height, 1);
+  EXPECT_EQ(response->index, 1u);
+  EXPECT_EQ(response->hash(), tx.hash());
+  EXPECT_EQ(response->tx().encode(), tx.encode());
+  EXPECT_TRUE(same_events(response->result().events, tx_events));
+  EXPECT_TRUE(same_events(response->result().events,
+                          (*ledger.results_at(1))[1].events));
+  EXPECT_EQ(frame->height, 1);
+  EXPECT_EQ(frame->tx_count, 3u);
+  EXPECT_TRUE(same_events(copy_events(frame->events()), frame_events));
+}
+
+// The tamper hook edits a copy: an untampered re-query and the ledger still
+// read the committed events.
+TEST_F(RpcFixture, TamperedPageLeavesCommittedEventsIntact) {
+  std::vector<chain::Tx> txs;
+  for (int i = 0; i < 4; ++i) txs.push_back(make_tx(i));
+  commit_block(std::move(txs));
+  const std::vector<chain::Event> committed = (*ledger.results_at(1))[0].events;
+
+  bool tamper = true;
+  server->set_query_tamper([&tamper](rpc::TxSearchPage& page) {
+    if (!tamper) return util::Status::ok();
+    for (rpc::TxResponse& tx : page.txs) {
+      for (chain::Event& ev : tx.mutable_result().events) {
+        for (auto& [key, value] : ev.attributes) value = "tampered";
+      }
+    }
+    return util::Status::ok();
+  });
+  std::vector<rpc::TxSearchPage> pages;
+  auto query = [&] {
+    server->query_packet_events(0, 1, "send_packet", 1, 4,
+                                [&](util::Result<rpc::TxSearchPage> res) {
+                                  ASSERT_TRUE(res.is_ok());
+                                  pages.push_back(res.value());
+                                });
+    sched.run_until(sched.now() + sim::seconds(30));
+  };
+  query();
+  tamper = false;
+  query();
+  ASSERT_EQ(pages.size(), 2u);
+  ASSERT_EQ(pages[0].txs.size(), 4u);
+  ASSERT_EQ(pages[1].txs.size(), 4u);
+
+  const chain::Event& edited = pages[0].txs[0].result().events[0];
+  EXPECT_EQ(edited.attribute("packet_sequence"), "tampered");
+  EXPECT_TRUE(same_events(pages[1].txs[0].result().events, committed));
+  EXPECT_TRUE(same_events((*ledger.results_at(1))[0].events, committed));
+  EXPECT_EQ((*ledger.results_at(1))[0].events[0].attribute("packet_sequence"),
+            "1");
+}
+
+// A QueryCache hit serves the page the miss returned, entry for entry, and
+// both share the ledger's record rather than holding copies.
+TEST_F(RpcFixture, QueryCacheHitPageEqualsMissPage) {
+  std::vector<chain::Tx> txs;
+  for (int i = 0; i < 6; ++i) txs.push_back(make_tx(i, 2));
+  commit_block(std::move(txs));
+  relayer::QueryCache cache(sched, relayer::QueryCacheConfig{true});
+
+  std::vector<rpc::TxSearchPage> pages;
+  for (int i = 0; i < 2; ++i) {
+    cache.query_packet_events(*server, 0, 1, "send_packet", 2, 5,
+                              [&](util::Result<rpc::TxSearchPage> res) {
+                                ASSERT_TRUE(res.is_ok());
+                                pages.push_back(res.value());
+                              });
+    sched.run_until(sched.now() + sim::seconds(30));
+  }
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  ASSERT_EQ(pages.size(), 2u);
+  const rpc::TxSearchPage& miss = pages[0];
+  const rpc::TxSearchPage& hit = pages[1];
+  EXPECT_EQ(hit.total_count, miss.total_count);
+  ASSERT_EQ(miss.txs.size(), 4u);
+  ASSERT_EQ(hit.txs.size(), miss.txs.size());
+  for (std::size_t i = 0; i < miss.txs.size(); ++i) {
+    EXPECT_EQ(hit.txs[i].height, miss.txs[i].height);
+    EXPECT_EQ(hit.txs[i].index, miss.txs[i].index);
+    EXPECT_EQ(hit.txs[i].hash(), miss.txs[i].hash());
+    EXPECT_EQ(hit.txs[i].tx().encode(), miss.txs[i].tx().encode());
+    EXPECT_TRUE(same_events(hit.txs[i].result().events,
+                            miss.txs[i].result().events));
+    EXPECT_EQ(hit.txs[i].block, ledger.committed(1));
+  }
 }
 
 TEST_F(RpcFixture, RemoteClientPaysNetworkLatency) {

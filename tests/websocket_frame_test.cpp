@@ -93,7 +93,7 @@ TEST_F(FrameFixture, BelowLimitEventsDelivered) {
   std::size_t with_events = 0;
   for (const auto& [h, f] : frames) {
     EXPECT_TRUE(f.events_ok) << "frame at height " << h << " dropped";
-    if (!f.events.empty()) ++with_events;
+    if (!f.events().empty()) ++with_events;
   }
   EXPECT_GT(with_events, 0u);
 }
@@ -107,7 +107,7 @@ TEST_F(FrameFixture, AboveLimitStormFrameDropped) {
     } else {
       ++dropped;
       // The payload is withheld entirely, not truncated.
-      EXPECT_TRUE(f.events.empty());
+      EXPECT_TRUE(f.events().empty());
       EXPECT_EQ(f.frame_bytes, 1024u);
     }
   }
