@@ -104,12 +104,15 @@ if [ "$1" = "--check" ]; then
   phase "ASan+UBSan: invariant checker + fuzz scenarios + relayer + RPC + store property"
   cmake -B build-asan -S . -DADDRESS_SANITIZER=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan -j --target test_invariants test_faults fuzz_scenarios \
-    test_relayer_behavior test_query_cache test_rpc_relayer test_campaigns test_lifecycle
+    test_relayer_behavior test_query_cache test_rpc_relayer test_campaigns test_lifecycle \
+    test_integration
   # StoreModelProperty/StoreProperty run the randomized-op store model tests
   # (hash index, arena, spill values, compaction) under ASan. RpcFixture
   # covers responses and frames that share the ledger's block records.
+  # StackFixture holds the relayer-level timeout test and the two-relayer
+  # redundant-retry path, both closure chains of the relay legs.
   (cd build-asan && ctest --output-on-failure \
-    -R 'InvariantChecker|NetworkFault|TimeoutPath|CodecProperty|RelayerFixture|RpcFixture|QueryCache|StoreModelProperty|StoreProperty|Campaign|ClientLifecycleFixture|RestartFixture|FrameFixture')
+    -R 'InvariantChecker|NetworkFault|TimeoutPath|CodecProperty|RelayerFixture|RpcFixture|QueryCache|StoreModelProperty|StoreProperty|Campaign|ClientLifecycleFixture|RestartFixture|FrameFixture|StackFixture')
   ./build-asan/src/check/fuzz_scenarios --seeds=40
   phase_ok
 

@@ -12,6 +12,60 @@
 
 namespace relayer {
 
+namespace {
+// Hermes bundles at most 100 messages per transaction (§III-D).
+constexpr std::size_t kMaxMsgsPerTx = 100;
+// Packet-event queries are chunked by sequence ranges of this size.
+constexpr std::size_t kEventQueryChunk = 50;
+// CPU time to assemble one IBC message (proof decoding, encoding).
+constexpr sim::Duration kBuildCpuPerMsg = sim::micros(1'500);
+// Rebuild-and-resubmit retries per packet per direction after a "redundant
+// packet" batch failure (Hermes retries a failed batch once, §IV-A).
+constexpr std::uint8_t kMaxPacketRetries = 1;
+// How many blocks a startup clear pass or an ack re-scan walks back.
+constexpr chain::Height kStartupRescanDepth = 1'000;
+// Indexed by Op::Kind; span + counter names for the worker-lane telemetry.
+constexpr const char* kOpNames[7] = {"relay_batch",   "ack_batch",
+                                     "timeout_batch", "clear",
+                                     "retry_recv",    "retry_ack",
+                                     "ack_scan"};
+
+// The block window [from, to] a re-scan ending at block `to` walks.
+std::pair<chain::Height, chain::Height> rescan_window(chain::Height to) {
+  return {to > kStartupRescanDepth ? to - kStartupRescanDepth + 1 : 1, to};
+}
+
+// Calls fn(event, packet, tx height) for every `type` event in `page` that
+// decodes to a packet sent from `channel`.
+template <typename Fn>
+void for_each_packet_event(const rpc::TxSearchPage& page,
+                           const std::string& type,
+                           const ibc::ChannelId& channel, Fn&& fn) {
+  for (const rpc::TxResponse& tx : page.txs) {
+    for (const chain::Event& ev : tx.result().events) {
+      if (ev.type != type) continue;
+      auto pkt = ibc::packet_from_event(ev);
+      if (!pkt || pkt->source_channel != channel) continue;
+      fn(ev, *pkt, tx.height);
+    }
+  }
+}
+
+// The distinct proof heights of msgs[begin, end), ascending: a tx carries
+// one MsgUpdateClient per height ahead of its packet messages.
+template <typename M>
+std::vector<chain::Height> proof_heights(const std::vector<M>& msgs,
+                                         std::size_t begin, std::size_t end) {
+  std::vector<chain::Height> heights;
+  for (std::size_t i = begin; i < end; ++i) {
+    heights.push_back(msgs[i].proof_height);
+  }
+  std::sort(heights.begin(), heights.end());
+  heights.erase(std::unique(heights.begin(), heights.end()), heights.end());
+  return heights;
+}
+}  // namespace
+
 Relayer::Relayer(sim::Scheduler& sched, ChainHandle a, ChainHandle b,
                  PathConfig path, RelayerConfig config, StepLog* step_log)
     : sched_(sched),
@@ -27,17 +81,47 @@ Relayer::Relayer(sim::Scheduler& sched, ChainHandle a, ChainHandle b,
             static_cast<double>(estimate_gas(1, 1, gas_.recv_packet)) *
                     config_.gas_price <=
                 config_.per_hop_fee_budget;
-  WalletConfig wa = config_.wallet;
-  wa.accounts = a_.wallet_accounts;
-  wa.gas_price = config_.gas_price;
-  wa.optimistic_sequencing = true;
-  wallet_a_ = std::make_unique<Wallet>(sched_, *a_.server, config_.machine, wa);
+  auto make_wallet = [this](const ChainHandle& h) {
+    WalletConfig wc = config_.wallet;
+    wc.accounts = h.wallet_accounts;
+    wc.gas_price = config_.gas_price;
+    wc.optimistic_sequencing = true;
+    return std::make_unique<Wallet>(sched_, *h.server, config_.machine, wc);
+  };
+  wallet_a_ = make_wallet(a_);
+  wallet_b_ = make_wallet(b_);
 
-  WalletConfig wb = config_.wallet;
-  wb.accounts = b_.wallet_accounts;
-  wb.gas_price = config_.gas_price;
-  wb.optimistic_sequencing = true;
-  wallet_b_ = std::make_unique<Wallet>(sched_, *b_.server, config_.machine, wb);
+  recv_leg_ = Leg{
+      .src = a_.server, .wallet = wallet_b_.get(), .client = path_.client_on_b,
+      .proof_key = ibc::host::packet_commitment_key,
+      .proof_channel = path_.channel_a,
+      .needs_ack = false,
+      .build = [](const PacketState& ps,
+                  const rpc::Server::AbciQueryResult& proof) {
+        return ibc::MsgRecvPacket{*ps.packet, proof.proof, proof.height}
+            .to_msg();
+      },
+      .ready = Stage::kPulled, .in_flight = Stage::kRecvInFlight,
+      .build_step = Step::kRecvBuild, .broadcast_step = Step::kRecvBroadcast,
+      .packet_gas = gas_.recv_packet, .forward_gas = true,
+      .on_outcome = &Relayer::on_recv_outcome,
+  };
+  ack_leg_ = Leg{
+      .src = b_.server, .wallet = wallet_a_.get(), .client = path_.client_on_a,
+      .proof_key = ibc::host::packet_ack_key,
+      .proof_channel = path_.channel_b,
+      .needs_ack = true,
+      .build = [](const PacketState& ps,
+                  const rpc::Server::AbciQueryResult& proof) {
+        return ibc::MsgAcknowledgementMsg{*ps.packet, *ps.ack, proof.proof,
+                                          proof.height}
+            .to_msg();
+      },
+      .ready = Stage::kRecvDone, .in_flight = Stage::kAckInFlight,
+      .build_step = Step::kAckBuild, .broadcast_step = Step::kAckBroadcast,
+      .packet_gas = gas_.acknowledge, .forward_gas = false,
+      .on_outcome = &Relayer::on_ack_outcome,
+  };
 }
 
 Relayer::~Relayer() {
@@ -97,27 +181,15 @@ void Relayer::start() {
   // the destination (packets delivered but never acknowledged).
   a_.server->status(config_.machine, [this](rpc::Server::StatusInfo info) {
     if (!running_ || info.height == 0) return;
-    const chain::Height from =
-        info.height > config_.startup_rescan_depth
-            ? info.height - config_.startup_rescan_depth + 1
-            : 1;
-    Op op;
-    op.kind = Op::Kind::kClear;
-    op.clear = ClearOp{from, info.height};
+    const auto [from, to] = rescan_window(info.height);
     last_clear_height_ = info.height;
-    enqueue(std::move(op));
+    enqueue({Op::Kind::kClear, from, to, {}});
   });
   b_.server->status(config_.machine, [this](rpc::Server::StatusInfo info) {
     if (!running_ || info.height == 0) return;
     last_seen_b_height_ = std::max(last_seen_b_height_, info.height);
-    const chain::Height from =
-        info.height > config_.startup_rescan_depth
-            ? info.height - config_.startup_rescan_depth + 1
-            : 1;
-    Op op;
-    op.kind = Op::Kind::kAckScan;
-    op.ack_scan = ClearOp{from, info.height};
-    enqueue(std::move(op));
+    const auto [from, to] = rescan_window(info.height);
+    enqueue({Op::Kind::kAckScan, from, to, {}});
   });
 }
 
@@ -127,14 +199,6 @@ void Relayer::stop() {
   a_.server->unsubscribe(sub_a_);
   b_.server->unsubscribe(sub_b_);
 }
-
-namespace {
-// Indexed by Op::Kind; span + counter names for the worker-lane telemetry.
-constexpr const char* kOpNames[7] = {"relay_batch",   "ack_batch",
-                                     "timeout_batch", "clear",
-                                     "retry_recv",    "retry_ack",
-                                     "ack_scan"};
-}  // namespace
 
 void Relayer::set_telemetry(telemetry::Hub* hub, const std::string& name) {
   hub_ = hub;
@@ -271,35 +335,25 @@ void Relayer::on_frame_a(const rpc::NewBlockFrame& frame) {
     // Event extraction disabled; block-height bookkeeping (below) still
     // runs, so clearing can rediscover the packets.
     check_timeouts();
-    if (config_.clear_interval > 0 &&
-        frame.height - last_clear_height_ >= config_.clear_interval) {
-      Op op;
-      op.kind = Op::Kind::kClear;
-      op.clear = ClearOp{1, frame.height};
-      last_clear_height_ = frame.height;
-      enqueue(std::move(op));
-    }
+    maybe_enqueue_clear(frame.height);
     return;
   }
   for (const chain::Event& ev : frame.events()) {
-    if (ev.type == "send_packet") {
-      if (ev.attribute("packet_src_channel") != path_.channel_a) continue;
-      const std::uint64_t seq =
-          chain::parse_u64(ev.attribute("packet_sequence"));
-      if (seq == 0 || packets_.contains(seq)) continue;
-      if (!adopts(seq, frame.height)) continue;
-      PacketState st;
-      st.stage = Stage::kExtracted;
-      st.src_height = frame.height;
-      packets_.emplace(seq, std::move(st));
-      record(Step::kTransferExtraction, seq);
-      new_seqs.push_back(seq);
-    } else if (ev.type == "acknowledge_packet") {
-      if (ev.attribute("packet_src_channel") != path_.channel_a) continue;
-      const std::uint64_t seq =
-          chain::parse_u64(ev.attribute("packet_sequence"));
+    if (ev.type != "send_packet" && ev.type != "acknowledge_packet") continue;
+    if (ev.attribute("packet_src_channel") != path_.channel_a) continue;
+    const std::uint64_t seq = chain::parse_u64(ev.attribute("packet_sequence"));
+    if (ev.type == "acknowledge_packet") {
       record(Step::kAckExtraction, seq);
+      continue;
     }
+    if (seq == 0 || packets_.contains(seq)) continue;
+    if (!adopts(seq, frame.height)) continue;
+    PacketState st;
+    st.stage = Stage::kExtracted;
+    st.src_height = frame.height;
+    packets_.emplace(seq, std::move(st));
+    record(Step::kTransferExtraction, seq);
+    new_seqs.push_back(seq);
   }
 
   if (!new_seqs.empty()) {
@@ -313,23 +367,21 @@ void Relayer::on_frame_a(const rpc::NewBlockFrame& frame) {
                         for (ibc::Sequence s : *seqs) {
                           record(Step::kTransferConfirmation, s);
                         }
-                        Op op;
-                        op.kind = Op::Kind::kRelay;
-                        op.relay = RelayBatchOp{h, *seqs};
-                        enqueue(std::move(op));
+                        enqueue({Op::Kind::kRelay, h, 0, *seqs});
                       });
   }
 
   check_timeouts();
+  maybe_enqueue_clear(frame.height);
+}
 
-  if (config_.clear_interval > 0 &&
-      frame.height - last_clear_height_ >= config_.clear_interval) {
-    Op op;
-    op.kind = Op::Kind::kClear;
-    op.clear = ClearOp{1, frame.height};
-    last_clear_height_ = frame.height;
-    enqueue(std::move(op));
+void Relayer::maybe_enqueue_clear(chain::Height height) {
+  if (config_.clear_interval <= 0 ||
+      height - last_clear_height_ < config_.clear_interval) {
+    return;
   }
+  last_clear_height_ = height;
+  enqueue({Op::Kind::kClear, 1, height, {}});
 }
 
 void Relayer::on_frame_b(const rpc::NewBlockFrame& frame) {
@@ -357,15 +409,11 @@ void Relayer::on_frame_b(const rpc::NewBlockFrame& frame) {
     }
     record(Step::kRecvExtraction, seq);
     st.stage = Stage::kRecvDone;
-    st.dst_height = frame.height;
     ack_seqs.push_back(seq);
   }
 
   if (!ack_seqs.empty()) {
-    Op op;
-    op.kind = Op::Kind::kAck;
-    op.ack = AckBatchOp{frame.height, std::move(ack_seqs)};
-    enqueue(std::move(op));
+    enqueue({Op::Kind::kAck, frame.height, 0, std::move(ack_seqs)});
   }
 }
 
@@ -382,11 +430,18 @@ void Relayer::check_timeouts() {
     }
   }
   if (!expired.empty()) {
-    Op op;
-    op.kind = Op::Kind::kTimeout;
-    op.timeout = TimeoutBatchOp{std::move(expired)};
-    enqueue(std::move(op));
+    enqueue({Op::Kind::kTimeout, 0, 0, std::move(expired)});
   }
+}
+
+std::vector<ibc::Sequence> Relayer::in_stage(
+    const std::vector<ibc::Sequence>& seqs, Stage stage) const {
+  std::vector<ibc::Sequence> out;
+  for (ibc::Sequence s : seqs) {
+    const auto it = packets_.find(s);
+    if (it != packets_.end() && it->second.stage == stage) out.push_back(s);
+  }
+  return out;
 }
 
 // --- Worker loop ----------------------------------------------------------------
@@ -399,18 +454,6 @@ void Relayer::enqueue(Op op) {
                        : 1;
   ops_[lane].push_back(std::move(op));
   pump(lane);
-}
-
-void Relayer::enqueue_retry(Op op) {
-  if (config_.retry_backoff <= 0) {
-    // Hermes-faithful: the rebuilt batch re-enters its lane immediately.
-    enqueue(std::move(op));
-    return;
-  }
-  sched_.schedule_after(config_.retry_backoff,
-                        [this, op = std::move(op)]() mutable {
-                          if (running_) enqueue(std::move(op));
-                        });
 }
 
 void Relayer::abandon_packet(ibc::Sequence seq, PacketState& ps,
@@ -462,25 +505,24 @@ void Relayer::pump(int lane) {
   }
   switch (op.kind) {
     case Op::Kind::kRelay:
-      run_relay_batch(std::move(op.relay), std::move(done));
+      run_relay_batch(std::move(op), std::move(done));
       break;
     case Op::Kind::kAck:
-      run_ack_batch(std::move(op.ack), std::move(done));
+      run_ack_batch(std::move(op), std::move(done));
       break;
     case Op::Kind::kTimeout:
-      run_timeout_batch(std::move(op.timeout), std::move(done));
+      run_timeout_batch(std::move(op), std::move(done));
       break;
     case Op::Kind::kClear:
-      run_clear(std::move(op.clear), std::move(done));
+      run_clear(std::move(op), std::move(done));
       break;
     case Op::Kind::kRetryRecv:
-      build_and_send_recv(std::move(op.retry.seqs), std::move(done));
-      break;
     case Op::Kind::kRetryAck:
-      build_and_send_ack(std::move(op.retry.seqs), std::move(done));
+      build_and_send(op.kind == Op::Kind::kRetryRecv ? recv_leg_ : ack_leg_,
+                     std::move(op.seqs), std::move(done));
       break;
     case Op::Kind::kAckScan:
-      run_ack_scan(std::move(op.ack_scan), std::move(done));
+      run_ack_scan(std::move(op), std::move(done));
       break;
   }
 }
@@ -509,8 +551,7 @@ void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
                           std::size_t chunk_index, bool any_failed,
                           std::function<void(PullResult)> done) {
   telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerPull);
-  const std::size_t chunk = config_.event_query_chunk;
-  std::size_t begin = chunk_index * chunk;
+  std::size_t begin = chunk_index * kEventQueryChunk;
   if (config_.skip_satisfied_chunks) {
     // Chunk queries return whole transactions, so one response often covers
     // sequences of later chunks; Hermes still issues those queries (the
@@ -518,10 +559,10 @@ void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
     // an opt-in mitigation.
     while (begin < seqs.size() &&
            chunk_satisfied(event_type, seqs, begin,
-                           std::min(begin + chunk, seqs.size()))) {
+                           std::min(begin + kEventQueryChunk, seqs.size()))) {
       chunks_skipped_ctr_->add();
       ++chunk_index;
-      begin = chunk_index * chunk;
+      begin = chunk_index * kEventQueryChunk;
     }
   }
   if (begin >= seqs.size()) {
@@ -530,7 +571,7 @@ void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
                           : PullResult::kComplete);
     return;
   }
-  const std::size_t end = std::min(begin + chunk, seqs.size());
+  const std::size_t end = std::min(begin + kEventQueryChunk, seqs.size());
   const ibc::Sequence lo = seqs[begin];
   const ibc::Sequence hi = seqs[end - 1];
   const Step pull_step = event_type == "send_packet"
@@ -548,30 +589,30 @@ void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
         telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerPull);
         bool failed = any_failed;
         if (res.is_ok()) {
-          for (const rpc::TxResponse& tx : res.value().txs) {
-            for (const chain::Event& ev : tx.result().events) {
-              if (ev.type != event_type) continue;
-              auto pkt = ibc::packet_from_event(ev);
-              if (!pkt || pkt->source_channel != path_.channel_a) continue;
-              const auto it = packets_.find(pkt->sequence);
-              if (it == packets_.end()) continue;
-              PacketState& st = it->second;
-              // A chunk query returns whole transactions, so events for
-              // sequences outside the chunk ride along; process (and log)
-              // each packet's pull exactly once.
-              if (event_type == "send_packet") {
-                if (st.stage == Stage::kExtracted) {
-                  record(pull_step, pkt->sequence);
-                  st.packet = std::move(*pkt);
-                  st.stage = Stage::kPulled;
+          for_each_packet_event(
+              res.value(), event_type, path_.channel_a,
+              [&](const chain::Event& ev, ibc::Packet& pkt, chain::Height) {
+                const auto it = packets_.find(pkt.sequence);
+                if (it == packets_.end()) return;
+                PacketState& st = it->second;
+                // A chunk query returns whole transactions, so events for
+                // sequences outside the chunk ride along; process (and log)
+                // each packet's pull exactly once.
+                if (event_type == "send_packet") {
+                  if (st.stage == Stage::kExtracted) {
+                    record(pull_step, pkt.sequence);
+                    st.packet = std::move(pkt);
+                    st.stage = Stage::kPulled;
+                  }
+                  return;
                 }
-              } else {  // write_acknowledgement
-                if (st.ack.has_value()) continue;
-                if (!st.packet) st.packet = std::move(*pkt);
+                // write_acknowledgement
+                if (st.ack.has_value()) return;
+                if (!st.packet) st.packet = std::move(pkt);
                 ibc::Acknowledgement ack;
                 if (ibc::Acknowledgement::decode(
                         util::to_bytes(ev.attribute("packet_ack")), ack)) {
-                  record(pull_step, pkt->sequence);
+                  record(pull_step, pkt.sequence);
                   st.ack = std::move(ack);
                   st.ack_decode_failed = false;
                 } else {
@@ -584,11 +625,9 @@ void Relayer::pull_chunks(rpc::Server* server, chain::Height height,
                   cache_.invalidate_page(*server, height, event_type, lo, hi);
                   IBC_LOG(kWarn, "relayer")
                       << "undecodable packet_ack for sequence "
-                      << pkt->sequence << " at height " << height;
+                      << pkt.sequence << " at height " << height;
                 }
-              }
-            }
-          }
+              });
         } else {
           // A failed chunk query used to vanish silently, leaving its
           // packets stuck with no trace; count and log it, and report the
@@ -620,46 +659,54 @@ std::uint64_t Relayer::estimate_gas(std::size_t updates,
 
 // --- Client updates ----------------------------------------------------------------
 
-void Relayer::fetch_update(rpc::Server* server, const ibc::ClientId& client_id,
-                           chain::Height height,
-                           std::function<void(std::optional<chain::Msg>)> cb) {
-  // Headers are immutable once committed — ideal cache fodder: every tx in a
-  // batch containing the same proof height re-fetches the same header.
-  cache_.query_header(
-      *server, config_.machine, height,
-      [client_id, cb = std::move(cb)](
-          util::Result<rpc::Server::HeaderInfo> res) {
-        if (!res.is_ok()) {
-          cb(std::nullopt);
-          return;
-        }
-        telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerPull);
-        const rpc::Server::HeaderInfo& info = res.value();
-        ibc::Header header;
-        header.chain_id = info.header.chain_id;
-        header.height = info.header.height;
-        header.time = info.header.time;
-        header.app_hash_after = info.app_hash_after;
-        header.validators_hash = info.header.validators_hash;
-        header.block_id = chain::BlockId{info.header.hash()};
-        header.commit = info.commit;
-        ibc::MsgUpdateClient update;
-        update.client_id = client_id;
-        update.header = std::move(header);
-        cb(update.to_msg());
-      });
+void Relayer::fetch_updates(rpc::Server* server, const ibc::ClientId& client,
+                            std::vector<chain::Height> heights,
+                            std::function<void(std::vector<chain::Msg>)> cb) {
+  auto updates = std::make_shared<std::vector<chain::Msg>>();
+  auto fetch_next = std::make_shared<std::function<void(std::size_t)>>();
+  *fetch_next = [this, server, client, heights = std::move(heights), updates,
+                 cb = std::move(cb),
+                 wfetch = std::weak_ptr<std::function<void(std::size_t)>>(
+                     fetch_next)](std::size_t hi) {
+    auto fetch_next = wfetch.lock();
+    if (!fetch_next) return;
+    if (hi < heights.size()) {
+      // Headers are immutable once committed — ideal cache fodder: every tx
+      // in a batch containing the same proof height re-fetches the same
+      // header.
+      cache_.query_header(
+          *server, config_.machine, heights[hi],
+          [client, updates, fetch_next,
+           hi](util::Result<rpc::Server::HeaderInfo> res) {
+            telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerPull);
+            if (res.is_ok()) {
+              const rpc::Server::HeaderInfo& info = res.value();
+              const ibc::MsgUpdateClient update{
+                  client,
+                  {.chain_id = info.header.chain_id,
+                   .height = info.header.height,
+                   .time = info.header.time,
+                   .app_hash_after = info.app_hash_after,
+                   .validators_hash = info.header.validators_hash,
+                   .block_id = chain::BlockId{info.header.hash()},
+                   .commit = info.commit}};
+              updates->push_back(update.to_msg());
+            }
+            if (*fetch_next) (*fetch_next)(hi + 1);
+          });
+      return;
+    }
+    // Chain complete: release the stored closure.
+    sched_.schedule_after(0, [fetch_next] { *fetch_next = nullptr; });
+    cb(std::move(*updates));
+  };
+  (*fetch_next)(0);
 }
 
-// --- Relay batches -----------------------------------------------------------------
+// --- Relay legs ------------------------------------------------------------------
 
-void Relayer::run_relay_batch(RelayBatchOp op, std::function<void()> done) {
-  std::vector<ibc::Sequence> seqs;
-  for (ibc::Sequence s : op.seqs) {
-    const auto it = packets_.find(s);
-    if (it != packets_.end() && it->second.stage == Stage::kExtracted) {
-      seqs.push_back(s);
-    }
-  }
+void Relayer::run_relay_batch(Op op, std::function<void()> done) {
+  std::vector<ibc::Sequence> seqs = in_stage(op.seqs, Stage::kExtracted);
   if (seqs.empty()) {
     done();
     return;
@@ -668,13 +715,7 @@ void Relayer::run_relay_batch(RelayBatchOp op, std::function<void()> done) {
     relay_batch_hist_->observe(static_cast<double>(seqs.size()));
   }
   auto after_pull = [this, seqs, done = std::move(done)](PullResult pr) mutable {
-    std::vector<ibc::Sequence> pulled;
-    for (ibc::Sequence s : seqs) {
-      const auto it = packets_.find(s);
-      if (it != packets_.end() && it->second.stage == Stage::kPulled) {
-        pulled.push_back(s);
-      }
-    }
+    std::vector<ibc::Sequence> pulled = in_stage(seqs, Stage::kPulled);
     if (pr == PullResult::kPartialFailure) {
       // Per-chunk errors were already counted/logged; packets left in
       // kExtracted are rediscovered by the next clear pass.
@@ -686,266 +727,14 @@ void Relayer::run_relay_batch(RelayBatchOp op, std::function<void()> done) {
       done();
       return;
     }
-    build_and_send_recv(std::move(pulled), std::move(done));
+    build_and_send(recv_leg_, std::move(pulled), std::move(done));
   };
-  pull_chunks(a_.server, op.src_height, "send_packet", std::move(seqs), 0,
+  pull_chunks(a_.server, op.from, "send_packet", std::move(seqs), 0,
               /*any_failed=*/false, std::move(after_pull));
 }
 
-void Relayer::build_and_send_recv(std::vector<ibc::Sequence> seqs,
-                                  std::function<void()> done) {
-  // Stage 1: per-packet commitment proof queries (sequential — the RPC node
-  // serves one request at a time anyway) + per-message CPU.
-  struct BuildState {
-    std::vector<ibc::Sequence> seqs;
-    std::size_t next = 0;
-    std::vector<ibc::MsgRecvPacket> msgs;
-    std::function<void()> done;
-  };
-  auto st = std::make_shared<BuildState>();
-  st->seqs = std::move(seqs);
-  st->done = std::move(done);
-
-  // The closure holds itself only weakly: queued callbacks carry the strong
-  // references, so when the simulation tears down mid-chain the cycle
-  // collapses instead of leaking (a strong self-capture is unreclaimable).
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [this, st, wstep = std::weak_ptr<std::function<void()>>(step)]() {
-    auto step = wstep.lock();
-    if (!step || !running_) return;
-    telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBuild);
-    if (st->next >= st->seqs.size()) {
-      release_later(step);
-      // Stage 2: group into transactions and submit.
-      if (st->msgs.empty()) {
-        st->done();
-        return;
-      }
-      struct SendState {
-        std::vector<ibc::MsgRecvPacket> msgs;
-        std::size_t next_tx_begin = 0;
-        std::function<void()> done;
-      };
-      auto send = std::make_shared<SendState>();
-      send->msgs = std::move(st->msgs);
-      send->done = std::move(st->done);
-
-      auto send_step = std::make_shared<std::function<void()>>();
-      *send_step = [this, send,
-                    wsend = std::weak_ptr<std::function<void()>>(send_step)]() {
-        auto send_step = wsend.lock();
-        if (!send_step) return;
-        if (!running_ || send->next_tx_begin >= send->msgs.size()) {
-          if (send->next_tx_begin >= send->msgs.size()) {
-            release_later(send_step);
-            send->done();
-          }
-          return;
-        }
-        telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBroadcast);
-        const std::size_t begin = send->next_tx_begin;
-        const std::size_t end = std::min(
-            begin + config_.max_msgs_per_tx, send->msgs.size());
-        send->next_tx_begin = end;
-
-        // Distinct proof heights in this tx need client updates.
-        std::vector<chain::Height> heights;
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto h = static_cast<chain::Height>(send->msgs[i].proof_height);
-          if (std::find(heights.begin(), heights.end(), h) == heights.end()) {
-            heights.push_back(h);
-          }
-        }
-        std::sort(heights.begin(), heights.end());
-
-        auto updates = std::make_shared<std::vector<chain::Msg>>();
-        auto fetch_next = std::make_shared<std::function<void(std::size_t)>>();
-        *fetch_next = [this, send, send_step, heights, updates,
-                       wfetch = std::weak_ptr<std::function<void(std::size_t)>>(
-                           fetch_next),
-                       begin, end](std::size_t hi) {
-          auto fetch_next = wfetch.lock();
-          if (!fetch_next) return;
-          if (hi >= heights.size()) {
-            // Chain complete: release the stored closure.
-            sched_.schedule_after(0, [fetch_next] { *fetch_next = nullptr; });
-          }
-          if (hi < heights.size()) {
-            fetch_update(a_.server, path_.client_on_b, heights[hi],
-                         [updates, fetch_next, hi](std::optional<chain::Msg> u) {
-                           if (u) updates->push_back(std::move(*u));
-                           if (*fetch_next) (*fetch_next)(hi + 1);
-                         });
-            return;
-          }
-          // Assemble and submit the tx.
-          std::vector<chain::Msg> msgs = *updates;
-          std::vector<ibc::Sequence> tx_seqs;
-          // A packet whose receiver encodes a forward route executes an
-          // onward transfer inside the destination's recv handler; without
-          // budgeting it the tx runs out of gas on every middle-chain hop.
-          std::uint64_t forward_gas = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            if (ibc::ForwardMiddleware::is_forward_packet(
-                    send->msgs[i].packet.data)) {
-              forward_gas += gas_.transfer;
-            }
-            msgs.push_back(send->msgs[i].to_msg());
-            tx_seqs.push_back(send->msgs[i].packet.sequence);
-          }
-          const std::uint64_t gas = estimate_gas(
-              updates->size(), end - begin, gas_.recv_packet, forward_gas);
-          // The pipeline advances to the next tx as soon as this one is in
-          // the mempool (optimistic submission); the commit callback only
-          // does bookkeeping. `advanced` guards the pipeline continuation if
-          // the broadcast itself fails.
-          auto advanced = std::make_shared<bool>(false);
-          wallet_b_->submit(
-              std::move(msgs), gas,
-              [this, tx_seqs, send_step, advanced](const Wallet::SubmitOutcome& out) {
-                if (!running_) return;
-                std::vector<ibc::Sequence> recv_done;
-                std::vector<ibc::Sequence> retry_seqs;
-                for (ibc::Sequence s : tx_seqs) {
-                  const auto it = packets_.find(s);
-                  if (it == packets_.end()) continue;
-                  PacketState& ps = it->second;
-                  if (out.status.is_ok()) {
-                    record(Step::kRecvConfirmation, s);
-                    relayed_ctr_->add();
-                    if (ps.stage == Stage::kRecvInFlight) {
-                      ps.stage = Stage::kRecvDone;
-                      ps.dst_height = out.height;
-                      recv_done.push_back(s);
-                    }
-                  } else if (out.status.code() ==
-                             util::ErrorCode::kRedundantPacket) {
-                    redundant_ctr_->add();
-                    if (ps.stage == Stage::kRecvInFlight) {
-                      if (ps.recv_retries <
-                          static_cast<std::uint8_t>(config_.max_packet_retries)) {
-                        // Hermes retries the failed batch, rebuilding the
-                        // proofs and resubmitting (wasted work when another
-                        // relayer actually delivered the packets); the cap
-                        // bounds what used to be a one-shot set.
-                        ++ps.recv_retries;
-                        ps.stage = Stage::kPulled;
-                        retry_seqs.push_back(s);
-                      } else {
-                        // Retries exhausted: treat as delivered elsewhere;
-                        // the destination's write_ack event drives the ack.
-                        ps.stage = Stage::kRecvDone;
-                      }
-                    }
-                  } else if (out.status.code() == util::ErrorCode::kTimeout &&
-                             out.committed) {
-                    // Packet expired before delivery.
-                    if (ps.stage == Stage::kRecvInFlight) {
-                      ps.stage = Stage::kPulled;  // timeout path picks it up
-                    }
-                  } else {
-                    recv_failed_ctr_->add();
-                    IBC_LOG(kWarn, "relayer")
-                        << "recv tx failed: " << out.status.to_string();
-                    if (ps.stage == Stage::kRecvInFlight) {
-                      // Clearing rebuilds and resubmits kPulled packets; a
-                      // persistent fault (e.g. chronic under-gassing) used
-                      // to loop forever through that path. Bound it.
-                      if (++ps.recv_failures >
-                          static_cast<std::uint8_t>(config_.max_submit_failures)) {
-                        abandon_packet(s, ps, "recv submit failures");
-                      } else {
-                        ps.stage = Stage::kPulled;  // retried by clearing
-                      }
-                    }
-                  }
-                }
-                // Normally the destination's WebSocket frame announces the
-                // write_acks (batched per block, as Hermes sees them); the
-                // committed recv tx's own events are the fallback when that
-                // event stream is broken (oversized frames, §V).
-                if (ws_wedged_b_ && !recv_done.empty()) {
-                  Op ack_op;
-                  ack_op.kind = Op::Kind::kAck;
-                  ack_op.ack = AckBatchOp{out.height, std::move(recv_done)};
-                  enqueue(std::move(ack_op));
-                }
-                if (!retry_seqs.empty()) {
-                  Op retry;
-                  retry.kind = Op::Kind::kRetryRecv;
-                  retry.retry = RetryOp{std::move(retry_seqs)};
-                  enqueue_retry(std::move(retry));
-                }
-                if (!*advanced) {
-                  *advanced = true;
-                  if (*send_step) (*send_step)();
-                }
-              },
-              [this, tx_seqs, send_step, advanced]() {
-                for (ibc::Sequence s : tx_seqs) {
-                  record(Step::kRecvBroadcast, s);
-                  const auto it = packets_.find(s);
-                  if (it != packets_.end() &&
-                      it->second.stage == Stage::kPulled) {
-                    it->second.stage = Stage::kRecvInFlight;
-                  }
-                }
-                if (!*advanced) {
-                  *advanced = true;
-                  if (*send_step) (*send_step)();
-                }
-              });
-        };
-        if (*fetch_next) (*fetch_next)(0);
-      };
-      if (*send_step) (*send_step)();
-      return;
-    }
-
-    const ibc::Sequence seq = st->seqs[st->next++];
-    const auto it = packets_.find(seq);
-    if (it == packets_.end() || it->second.stage != Stage::kPulled ||
-        !it->second.packet) {
-      if (*step) (*step)();
-      return;
-    }
-    const std::string key =
-        ibc::host::packet_commitment_key(path_.port, path_.channel_a, seq);
-    cache_.abci_query(
-        *a_.server, config_.machine, key, /*prove=*/true,
-        [this, st, step, seq](util::Result<rpc::Server::AbciQueryResult> res) {
-          if (!running_) return;
-          telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBuild);
-          const auto it2 = packets_.find(seq);
-          if (res.is_ok() && res.value().exists && it2 != packets_.end() &&
-              it2->second.packet) {
-            ibc::MsgRecvPacket msg;
-            msg.packet = *it2->second.packet;
-            msg.proof_commitment = res.value().proof;
-            msg.proof_height = res.value().height;
-            st->msgs.push_back(std::move(msg));
-            // Per-message assembly CPU, then the next packet.
-            sched_.schedule_after(config_.build_cpu_per_msg, [this, step, seq] {
-              record(Step::kRecvBuild, seq);
-              if (*step) (*step)();
-            });
-            return;
-          }
-          // Commitment gone (acked/timed out already) or query failed.
-          if (*step) (*step)();
-        });
-  };
-  if (*step) (*step)();
-}
-
-void Relayer::run_ack_batch(AckBatchOp op, std::function<void()> done) {
-  std::vector<ibc::Sequence> seqs;
-  for (ibc::Sequence s : op.seqs) {
-    const auto it = packets_.find(s);
-    if (it != packets_.end() && it->second.stage == Stage::kRecvDone) {
-      seqs.push_back(s);
-    }
-  }
+void Relayer::run_ack_batch(Op op, std::function<void()> done) {
+  std::vector<ibc::Sequence> seqs = in_stage(op.seqs, Stage::kRecvDone);
   if (seqs.empty()) {
     done();
     return;
@@ -953,7 +742,7 @@ void Relayer::run_ack_batch(AckBatchOp op, std::function<void()> done) {
   if (ack_batch_hist_) {
     ack_batch_hist_->observe(static_cast<double>(seqs.size()));
   }
-  auto after_pull = [this, seqs, dst_height = op.dst_height,
+  auto after_pull = [this, seqs, dst_height = op.from,
                      done = std::move(done)](PullResult pr) mutable {
     std::vector<ibc::Sequence> ready;
     std::vector<ibc::Sequence> repull;
@@ -984,180 +773,150 @@ void Relayer::run_ack_batch(AckBatchOp op, std::function<void()> done) {
       sched_.schedule_after(config_.ack_repull_backoff,
                             [this, dst_height, repull = std::move(repull)] {
                               if (!running_) return;
-                              Op op;
-                              op.kind = Op::Kind::kAck;
-                              op.ack = AckBatchOp{dst_height, repull};
-                              enqueue(std::move(op));
+                              enqueue({Op::Kind::kAck, dst_height, 0, repull});
                             });
     }
     if (ready.empty()) {
       done();
       return;
     }
-    build_and_send_ack(std::move(ready), std::move(done));
+    build_and_send(ack_leg_, std::move(ready), std::move(done));
   };
-  pull_chunks(b_.server, op.dst_height, "write_acknowledgement",
-              std::move(seqs), 0, /*any_failed=*/false, std::move(after_pull));
+  pull_chunks(b_.server, op.from, "write_acknowledgement", std::move(seqs), 0,
+              /*any_failed=*/false, std::move(after_pull));
 }
 
-void Relayer::build_and_send_ack(std::vector<ibc::Sequence> seqs,
-                                 std::function<void()> done) {
-  struct BuildState {
+void Relayer::build_and_send(const Leg& leg, std::vector<ibc::Sequence> seqs,
+                             std::function<void()> done) {
+  struct LegState {
     std::vector<ibc::Sequence> seqs;
-    std::size_t next = 0;
-    std::vector<ibc::MsgAcknowledgementMsg> msgs;
+    std::size_t next = 0;           // next packet to prove
+    std::vector<LegMsg> msgs;
+    std::size_t next_tx_begin = 0;  // first message of the next tx
     std::function<void()> done;
   };
-  auto st = std::make_shared<BuildState>();
+  auto st = std::make_shared<LegState>();
   st->seqs = std::move(seqs);
   st->done = std::move(done);
+  auto send_step = std::make_shared<std::function<void()>>();
 
+  // Stage 1: per-packet proof queries (sequential — the RPC node serves one
+  // request at a time anyway) + per-message CPU.
   // The closure holds itself only weakly: queued callbacks carry the strong
   // references, so when the simulation tears down mid-chain the cycle
   // collapses instead of leaking (a strong self-capture is unreclaimable).
   auto step = std::make_shared<std::function<void()>>();
-  *step = [this, st, wstep = std::weak_ptr<std::function<void()>>(step)]() {
+  *step = [this, &leg, st, send_step,
+           wstep = std::weak_ptr<std::function<void()>>(step)]() {
     auto step = wstep.lock();
     if (!step || !running_) return;
     telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBuild);
     if (st->next >= st->seqs.size()) {
       release_later(step);
+      // Stage 2: group into transactions and submit.
       if (st->msgs.empty()) {
         st->done();
         return;
       }
-      struct SendState {
-        std::vector<ibc::MsgAcknowledgementMsg> msgs;
-        std::size_t next_tx_begin = 0;
-        std::function<void()> done;
-      };
-      auto send = std::make_shared<SendState>();
-      send->msgs = std::move(st->msgs);
-      send->done = std::move(st->done);
+      (*send_step)();
+      return;
+    }
 
-      auto send_step = std::make_shared<std::function<void()>>();
-      *send_step = [this, send,
-                    wsend = std::weak_ptr<std::function<void()>>(send_step)]() {
-        auto send_step = wsend.lock();
-        if (!send_step) return;
-        if (!running_ || send->next_tx_begin >= send->msgs.size()) {
-          if (send->next_tx_begin >= send->msgs.size()) {
-            release_later(send_step);
-            send->done();
-          }
-          return;
-        }
-        telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBroadcast);
-        const std::size_t begin = send->next_tx_begin;
-        const std::size_t end = std::min(
-            begin + config_.max_msgs_per_tx, send->msgs.size());
-        send->next_tx_begin = end;
-
-        std::vector<chain::Height> heights;
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto h = static_cast<chain::Height>(send->msgs[i].proof_height);
-          if (std::find(heights.begin(), heights.end(), h) == heights.end()) {
-            heights.push_back(h);
-          }
-        }
-        std::sort(heights.begin(), heights.end());
-
-        auto updates = std::make_shared<std::vector<chain::Msg>>();
-        auto fetch_next = std::make_shared<std::function<void(std::size_t)>>();
-        *fetch_next = [this, send, send_step, heights, updates,
-                       wfetch = std::weak_ptr<std::function<void(std::size_t)>>(
-                           fetch_next),
-                       begin, end](std::size_t hi) {
-          auto fetch_next = wfetch.lock();
-          if (!fetch_next) return;
-          if (hi >= heights.size()) {
-            // Chain complete: release the stored closure.
-            sched_.schedule_after(0, [fetch_next] { *fetch_next = nullptr; });
-          }
-          if (hi < heights.size()) {
-            fetch_update(b_.server, path_.client_on_a, heights[hi],
-                         [updates, fetch_next, hi](std::optional<chain::Msg> u) {
-                           if (u) updates->push_back(std::move(*u));
-                           if (*fetch_next) (*fetch_next)(hi + 1);
-                         });
+    const ibc::Sequence seq = st->seqs[st->next++];
+    const auto it = packets_.find(seq);
+    if (it == packets_.end() || it->second.stage != leg.ready ||
+        !it->second.packet || (leg.needs_ack && !it->second.ack)) {
+      if (*step) (*step)();
+      return;
+    }
+    cache_.abci_query(
+        *leg.src, config_.machine,
+        leg.proof_key(path_.port, leg.proof_channel, seq), /*prove=*/true,
+        [this, &leg, st, step,
+         seq](util::Result<rpc::Server::AbciQueryResult> res) {
+          if (!running_) return;
+          telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBuild);
+          const auto it2 = packets_.find(seq);
+          if (res.is_ok() && res.value().exists && it2 != packets_.end() &&
+              it2->second.packet) {
+            const PacketState& ps = it2->second;
+            LegMsg msg{seq, res.value().height, 0, leg.build(ps, res.value())};
+            // A packet whose receiver encodes a forward route executes an
+            // onward transfer inside the destination's recv handler; without
+            // budgeting it the tx runs out of gas on every middle-chain hop.
+            if (leg.forward_gas &&
+                ibc::ForwardMiddleware::is_forward_packet(ps.packet->data)) {
+              msg.extra_gas = gas_.transfer;
+            }
+            st->msgs.push_back(std::move(msg));
+            // Per-message assembly CPU, then the next packet.
+            sched_.schedule_after(kBuildCpuPerMsg, [this, &leg, step, seq] {
+              record(leg.build_step, seq);
+              if (*step) (*step)();
+            });
             return;
           }
-          std::vector<chain::Msg> msgs = *updates;
+          // Proven state gone (acked/timed out already) or query failed.
+          if (*step) (*step)();
+        });
+  };
+
+  // Stage 2: txs of at most 100 packet messages, each behind its client
+  // updates.
+  *send_step = [this, &leg, st,
+                wsend = std::weak_ptr<std::function<void()>>(send_step)]() {
+    auto send_step = wsend.lock();
+    if (!send_step) return;
+    if (!running_ || st->next_tx_begin >= st->msgs.size()) {
+      if (st->next_tx_begin >= st->msgs.size()) {
+        release_later(send_step);
+        st->done();
+      }
+      return;
+    }
+    telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBroadcast);
+    const std::size_t begin = st->next_tx_begin;
+    const std::size_t end = std::min(begin + kMaxMsgsPerTx, st->msgs.size());
+    st->next_tx_begin = end;
+
+    fetch_updates(
+        leg.src, leg.client, proof_heights(st->msgs, begin, end),
+        [this, &leg, st, send_step, begin,
+         end](std::vector<chain::Msg> msgs) {
+          // Assemble and submit the tx: the client updates, then the packet
+          // messages they prove.
+          const std::size_t updates = msgs.size();
           std::vector<ibc::Sequence> tx_seqs;
+          std::uint64_t extra_gas = 0;
           for (std::size_t i = begin; i < end; ++i) {
-            msgs.push_back(send->msgs[i].to_msg());
-            tx_seqs.push_back(send->msgs[i].packet.sequence);
+            extra_gas += st->msgs[i].extra_gas;
+            msgs.push_back(std::move(st->msgs[i].msg));
+            tx_seqs.push_back(st->msgs[i].seq);
           }
-          const std::uint64_t gas = estimate_gas(
-              updates->size(), end - begin, gas_.acknowledge);
+          const std::uint64_t gas =
+              estimate_gas(updates, end - begin, leg.packet_gas, extra_gas);
+          // The pipeline advances to the next tx as soon as this one is in
+          // the mempool (optimistic submission); the commit callback only
+          // does bookkeeping. `advanced` guards the pipeline continuation if
+          // the broadcast itself fails.
           auto advanced = std::make_shared<bool>(false);
-          wallet_a_->submit(
+          leg.wallet->submit(
               std::move(msgs), gas,
-              [this, tx_seqs, send_step, advanced](const Wallet::SubmitOutcome& out) {
+              [this, &leg, tx_seqs, send_step,
+               advanced](const Wallet::SubmitOutcome& out) {
                 if (!running_) return;
-                std::vector<ibc::Sequence> retry_seqs;
-                for (ibc::Sequence s : tx_seqs) {
-                  const auto it = packets_.find(s);
-                  if (it == packets_.end()) continue;
-                  PacketState& ps = it->second;
-                  if (out.status.is_ok()) {
-                    record(Step::kAckConfirmation, s);
-                    completed_ctr_->add();
-                    ps.stage = Stage::kDone;
-                  } else if (out.status.code() ==
-                             util::ErrorCode::kRedundantPacket) {
-                    redundant_ctr_->add();
-                    if (ps.stage == Stage::kAckInFlight &&
-                        ps.ack_retries <
-                            static_cast<std::uint8_t>(
-                                config_.max_packet_retries)) {
-                      ++ps.ack_retries;
-                      ps.stage = Stage::kRecvDone;  // rebuild + resubmit
-                      retry_seqs.push_back(s);
-                    } else {
-                      // Most likely another relayer completed it — but a
-                      // single genuinely-redundant msg fails the whole tx,
-                      // so batch-mates may NOT be acked yet. Park at
-                      // kRecvDone flagged for clearing: the clear pass only
-                      // sees still-outstanding commitments, so truly
-                      // completed packets drop out and stragglers get a
-                      // clean redrive.
-                      ps.stage = Stage::kRecvDone;
-                      ps.ack_tx_failed = true;
-                    }
-                  } else {
-                    ack_failed_ctr_->add();
-                    IBC_LOG(kWarn, "relayer")
-                        << "ack tx failed: " << out.status.to_string();
-                    // A censored/unreachable mempool fails submit before
-                    // broadcast, leaving the stage at kRecvDone; flag both
-                    // shapes so run_clear redrives the ack either way.
-                    if (ps.stage == Stage::kAckInFlight) {
-                      ps.stage = Stage::kRecvDone;
-                    }
-                    if (ps.stage == Stage::kRecvDone) {
-                      ps.ack_tx_failed = true;
-                    }
-                  }
-                }
-                if (!retry_seqs.empty()) {
-                  Op retry;
-                  retry.kind = Op::Kind::kRetryAck;
-                  retry.retry = RetryOp{std::move(retry_seqs)};
-                  enqueue_retry(std::move(retry));
-                }
+                (this->*leg.on_outcome)(tx_seqs, out);
                 if (!*advanced) {
                   *advanced = true;
                   if (*send_step) (*send_step)();
                 }
               },
-              [this, tx_seqs, send_step, advanced]() {
+              [this, &leg, tx_seqs, send_step, advanced]() {
                 for (ibc::Sequence s : tx_seqs) {
-                  record(Step::kAckBroadcast, s);
+                  record(leg.broadcast_step, s);
                   const auto it = packets_.find(s);
-                  if (it != packets_.end() &&
-                      it->second.stage == Stage::kRecvDone) {
-                    it->second.stage = Stage::kAckInFlight;
+                  if (it != packets_.end() && it->second.stage == leg.ready) {
+                    it->second.stage = leg.in_flight;
                   }
                 }
                 if (!*advanced) {
@@ -1165,54 +924,131 @@ void Relayer::build_and_send_ack(std::vector<ibc::Sequence> seqs,
                   if (*send_step) (*send_step)();
                 }
               });
-        };
-        if (*fetch_next) (*fetch_next)(0);
-      };
-      if (*send_step) (*send_step)();
-      return;
-    }
-
-    const ibc::Sequence seq = st->seqs[st->next++];
-    const auto it = packets_.find(seq);
-    if (it == packets_.end() || it->second.stage != Stage::kRecvDone ||
-        !it->second.packet || !it->second.ack) {
-      if (*step) (*step)();
-      return;
-    }
-    const std::string key =
-        ibc::host::packet_ack_key(path_.port, path_.channel_b, seq);
-    cache_.abci_query(
-        *b_.server, config_.machine, key, /*prove=*/true,
-        [this, st, step, seq](util::Result<rpc::Server::AbciQueryResult> res) {
-          if (!running_) return;
-          telemetry::ProfileScope prof(telemetry::ProfileKey::kRelayerBuild);
-          const auto it2 = packets_.find(seq);
-          if (res.is_ok() && res.value().exists && it2 != packets_.end()) {
-            ibc::MsgAcknowledgementMsg msg;
-            msg.packet = *it2->second.packet;
-            msg.ack = *it2->second.ack;
-            msg.proof_ack = res.value().proof;
-            msg.proof_height = res.value().height;
-            st->msgs.push_back(std::move(msg));
-            sched_.schedule_after(config_.build_cpu_per_msg, [this, step, seq] {
-              record(Step::kAckBuild, seq);
-              if (*step) (*step)();
-            });
-            return;
-          }
-          if (*step) (*step)();
         });
   };
-  if (*step) (*step)();
+  (*step)();
+}
+
+void Relayer::on_recv_outcome(const std::vector<ibc::Sequence>& tx_seqs,
+                              const Wallet::SubmitOutcome& out) {
+  std::vector<ibc::Sequence> recv_done;
+  std::vector<ibc::Sequence> retry_seqs;
+  for (ibc::Sequence s : tx_seqs) {
+    const auto it = packets_.find(s);
+    if (it == packets_.end()) continue;
+    PacketState& ps = it->second;
+    if (out.status.is_ok()) {
+      record(Step::kRecvConfirmation, s);
+      relayed_ctr_->add();
+      if (ps.stage == Stage::kRecvInFlight) {
+        ps.stage = Stage::kRecvDone;
+        recv_done.push_back(s);
+      }
+    } else if (out.status.code() == util::ErrorCode::kRedundantPacket) {
+      redundant_ctr_->add();
+      if (ps.stage == Stage::kRecvInFlight) {
+        if (ps.recv_retries < kMaxPacketRetries) {
+          // Hermes retries the failed batch, rebuilding the proofs and
+          // resubmitting (wasted work when another relayer actually
+          // delivered the packets); the cap bounds what used to be a
+          // one-shot set.
+          ++ps.recv_retries;
+          ps.stage = Stage::kPulled;
+          retry_seqs.push_back(s);
+        } else {
+          // Retries exhausted: treat as delivered elsewhere; the
+          // destination's write_ack event drives the ack.
+          ps.stage = Stage::kRecvDone;
+        }
+      }
+    } else if (out.status.code() == util::ErrorCode::kTimeout &&
+               out.committed) {
+      // Packet expired before delivery.
+      if (ps.stage == Stage::kRecvInFlight) {
+        ps.stage = Stage::kPulled;  // timeout path picks it up
+      }
+    } else {
+      recv_failed_ctr_->add();
+      IBC_LOG(kWarn, "relayer") << "recv tx failed: " << out.status.to_string();
+      if (ps.stage == Stage::kRecvInFlight) {
+        // Clearing rebuilds and resubmits kPulled packets; a persistent
+        // fault (e.g. chronic under-gassing) used to loop forever through
+        // that path. Bound it.
+        if (++ps.recv_failures >
+            static_cast<std::uint8_t>(config_.max_submit_failures)) {
+          abandon_packet(s, ps, "recv submit failures");
+        } else {
+          ps.stage = Stage::kPulled;  // retried by clearing
+        }
+      }
+    }
+  }
+  // Normally the destination's WebSocket frame announces the write_acks
+  // (batched per block, as Hermes sees them); the committed recv tx's own
+  // events are the fallback when that event stream is broken (oversized
+  // frames, §V).
+  if (ws_wedged_b_ && !recv_done.empty()) {
+    enqueue({Op::Kind::kAck, out.height, 0, std::move(recv_done)});
+  }
+  // Hermes-faithful: the rebuilt batch re-enters its lane immediately.
+  if (!retry_seqs.empty()) {
+    enqueue({Op::Kind::kRetryRecv, 0, 0, std::move(retry_seqs)});
+  }
+}
+
+void Relayer::on_ack_outcome(const std::vector<ibc::Sequence>& tx_seqs,
+                             const Wallet::SubmitOutcome& out) {
+  std::vector<ibc::Sequence> retry_seqs;
+  for (ibc::Sequence s : tx_seqs) {
+    const auto it = packets_.find(s);
+    if (it == packets_.end()) continue;
+    PacketState& ps = it->second;
+    if (out.status.is_ok()) {
+      record(Step::kAckConfirmation, s);
+      completed_ctr_->add();
+      ps.stage = Stage::kDone;
+    } else if (out.status.code() == util::ErrorCode::kRedundantPacket) {
+      redundant_ctr_->add();
+      if (ps.stage == Stage::kAckInFlight &&
+          ps.ack_retries < kMaxPacketRetries) {
+        ++ps.ack_retries;
+        ps.stage = Stage::kRecvDone;  // rebuild + resubmit
+        retry_seqs.push_back(s);
+      } else {
+        // Most likely another relayer completed it — but a single
+        // genuinely-redundant msg fails the whole tx, so batch-mates may NOT
+        // be acked yet. Park at kRecvDone flagged for clearing: the clear
+        // pass only sees still-outstanding commitments, so truly completed
+        // packets drop out and stragglers get a clean redrive.
+        ps.stage = Stage::kRecvDone;
+        ps.ack_tx_failed = true;
+      }
+    } else {
+      ack_failed_ctr_->add();
+      IBC_LOG(kWarn, "relayer") << "ack tx failed: " << out.status.to_string();
+      // A censored/unreachable mempool fails submit before broadcast,
+      // leaving the stage at kRecvDone; flag both shapes so run_clear
+      // redrives the ack either way.
+      if (ps.stage == Stage::kAckInFlight) {
+        ps.stage = Stage::kRecvDone;
+      }
+      if (ps.stage == Stage::kRecvDone) {
+        ps.ack_tx_failed = true;
+      }
+    }
+  }
+  if (!retry_seqs.empty()) {
+    enqueue({Op::Kind::kRetryAck, 0, 0, std::move(retry_seqs)});
+  }
 }
 
 // --- Timeouts --------------------------------------------------------------------
 
-void Relayer::run_timeout_batch(TimeoutBatchOp op, std::function<void()> done) {
+void Relayer::run_timeout_batch(Op op, std::function<void()> done) {
   struct BuildState {
     std::vector<ibc::Sequence> seqs;
     std::size_t next = 0;
-    std::vector<ibc::MsgTimeout> msgs;
+    std::vector<LegMsg> msgs;
     std::function<void()> done;
   };
   auto st = std::make_shared<BuildState>();
@@ -1233,62 +1069,39 @@ void Relayer::run_timeout_batch(TimeoutBatchOp op, std::function<void()> done) {
         return;
       }
       // One tx per batch chunk; timeout volume is small in practice.
-      std::vector<chain::Height> heights;
-      for (const auto& m : st->msgs) {
-        const auto h = static_cast<chain::Height>(m.proof_height);
-        if (std::find(heights.begin(), heights.end(), h) == heights.end()) {
-          heights.push_back(h);
-        }
-      }
-      std::sort(heights.begin(), heights.end());
-      auto updates = std::make_shared<std::vector<chain::Msg>>();
-      auto fetch_next = std::make_shared<std::function<void(std::size_t)>>();
-      *fetch_next = [this, st, heights, updates,
-                     wfetch = std::weak_ptr<std::function<void(std::size_t)>>(
-                         fetch_next)](std::size_t hi) {
-        auto fetch_next = wfetch.lock();
-        if (!fetch_next) return;
-        if (hi >= heights.size()) {
-          // Chain complete: release the stored closure.
-          sched_.schedule_after(0, [fetch_next] { *fetch_next = nullptr; });
-        }
-        if (hi < heights.size()) {
-          fetch_update(b_.server, path_.client_on_a, heights[hi],
-                       [updates, fetch_next, hi](std::optional<chain::Msg> u) {
-                         if (u) updates->push_back(std::move(*u));
-                         if (*fetch_next) (*fetch_next)(hi + 1);
-                       });
-          return;
-        }
-        std::vector<chain::Msg> msgs = *updates;
-        std::vector<ibc::Sequence> tx_seqs;
-        for (const auto& m : st->msgs) {
-          msgs.push_back(m.to_msg());
-          tx_seqs.push_back(m.packet.sequence);
-        }
-        const std::uint64_t gas =
-            estimate_gas(updates->size(), tx_seqs.size(), gas_.timeout);
-        wallet_a_->submit(
-            std::move(msgs), gas,
-            [this, tx_seqs, done = st->done](const Wallet::SubmitOutcome& out) {
-              if (!running_) return;
-              for (ibc::Sequence s : tx_seqs) {
-                const auto it = packets_.find(s);
-                if (it == packets_.end()) continue;
-                if (out.status.is_ok()) {
-                  timed_out_ctr_->add();
-                  it->second.stage = Stage::kTimedOut;
-                } else if (out.status.code() ==
-                           util::ErrorCode::kRedundantPacket) {
-                  redundant_ctr_->add();
-                  it->second.stage = Stage::kTimedOut;
-                }
-                timeout_candidates_.erase(s);
-              }
-              done();
-            });
-      };
-      if (*fetch_next) (*fetch_next)(0);
+      fetch_updates(
+          b_.server, path_.client_on_a,
+          proof_heights(st->msgs, 0, st->msgs.size()),
+          [this, st](std::vector<chain::Msg> msgs) {
+            const std::size_t updates = msgs.size();
+            std::vector<ibc::Sequence> tx_seqs;
+            for (LegMsg& m : st->msgs) {
+              msgs.push_back(std::move(m.msg));
+              tx_seqs.push_back(m.seq);
+            }
+            const std::uint64_t gas =
+                estimate_gas(updates, tx_seqs.size(), gas_.timeout);
+            wallet_a_->submit(
+                std::move(msgs), gas,
+                [this, tx_seqs,
+                 done = st->done](const Wallet::SubmitOutcome& out) {
+                  if (!running_) return;
+                  for (ibc::Sequence s : tx_seqs) {
+                    const auto it = packets_.find(s);
+                    if (it == packets_.end()) continue;
+                    if (out.status.is_ok()) {
+                      timed_out_ctr_->add();
+                      it->second.stage = Stage::kTimedOut;
+                    } else if (out.status.code() ==
+                               util::ErrorCode::kRedundantPacket) {
+                      redundant_ctr_->add();
+                      it->second.stage = Stage::kTimedOut;
+                    }
+                    timeout_candidates_.erase(s);
+                  }
+                  done();
+                });
+          });
       return;
     }
 
@@ -1312,21 +1125,19 @@ void Relayer::run_timeout_batch(TimeoutBatchOp op, std::function<void()> done) {
           const auto it2 = packets_.find(seq);
           if (res.is_ok() && !res.value().exists && it2 != packets_.end() &&
               it2->second.packet) {
-            ibc::MsgTimeout msg;
-            msg.packet = *it2->second.packet;
-            msg.proof_unreceived = res.value().proof;
-            msg.proof_height = res.value().height;
-            st->msgs.push_back(std::move(msg));
+            const ibc::MsgTimeout msg{*it2->second.packet, res.value().proof,
+                                      res.value().height};
+            st->msgs.push_back(LegMsg{seq, msg.proof_height, 0, msg.to_msg()});
           }
           if (*step) (*step)();
         });
   };
-  if (*step) (*step)();
+  (*step)();
 }
 
 // --- Clearing ---------------------------------------------------------------------
 
-void Relayer::run_clear(ClearOp op, std::function<void()> done) {
+void Relayer::run_clear(Op op, std::function<void()> done) {
   // 1. Enumerate outstanding commitments on the source chain.
   a_.server->abci_query_prefix(
       config_.machine,
@@ -1384,22 +1195,15 @@ void Relayer::run_clear(ClearOp op, std::function<void()> done) {
           }
         }
         if (ackless) {
-          const chain::Height to =
-              last_seen_b_height_ > 0 ? last_seen_b_height_ : 1;
-          Op scan;
-          scan.kind = Op::Kind::kAckScan;
-          scan.ack_scan = ClearOp{
-              to > config_.startup_rescan_depth
-                  ? to - config_.startup_rescan_depth + 1
-                  : 1,
-              to};
-          enqueue(std::move(scan));
+          const auto [from, to] =
+              rescan_window(last_seen_b_height_ > 0 ? last_seen_b_height_ : 1);
+          enqueue({Op::Kind::kAckScan, from, to, {}});
         }
         if (!stuck_acks.empty()) {
           std::sort(stuck_acks.begin(), stuck_acks.end());
           done = [this, acks = std::move(stuck_acks),
                   next = std::move(done)]() mutable {
-            build_and_send_ack(std::move(acks), std::move(next));
+            build_and_send(ack_leg_, std::move(acks), std::move(next));
           };
         }
         if (unknown.empty()) {
@@ -1412,7 +1216,7 @@ void Relayer::run_clear(ClearOp op, std::function<void()> done) {
         const ibc::Sequence lo = unknown.front();
         const ibc::Sequence hi = unknown.back();
         a_.server->query_packet_events_range(
-            config_.machine, op.scan_from, op.scan_to, "send_packet", lo, hi,
+            config_.machine, op.from, op.to, "send_packet", lo, hi,
             [this, unknown, done = std::move(done)](
                 util::Result<rpc::TxSearchPage> res) mutable {
               if (!running_) return;
@@ -1424,43 +1228,33 @@ void Relayer::run_clear(ClearOp op, std::function<void()> done) {
                     << "clear range scan failed: " << res.status().to_string();
               }
               if (res.is_ok()) {
-                for (const rpc::TxResponse& tx : res.value().txs) {
-                  for (const chain::Event& ev : tx.result().events) {
-                    if (ev.type != "send_packet") continue;
-                    auto pkt = ibc::packet_from_event(ev);
-                    if (!pkt || pkt->source_channel != path_.channel_a) {
-                      continue;
-                    }
-                    const auto it = packets_.find(pkt->sequence);
-                    if (it != packets_.end() &&
-                        it->second.stage == Stage::kExtracted) {
-                      it->second.src_height = tx.height;
-                      it->second.packet = std::move(*pkt);
-                      it->second.stage = Stage::kPulled;
-                    }
-                  }
-                }
+                for_each_packet_event(
+                    res.value(), "send_packet", path_.channel_a,
+                    [this](const chain::Event&, ibc::Packet& pkt,
+                           chain::Height tx_height) {
+                      const auto it = packets_.find(pkt.sequence);
+                      if (it != packets_.end() &&
+                          it->second.stage == Stage::kExtracted) {
+                        it->second.src_height = tx_height;
+                        it->second.packet = std::move(pkt);
+                        it->second.stage = Stage::kPulled;
+                      }
+                    });
               }
-              std::vector<ibc::Sequence> ready;
-              for (ibc::Sequence s : unknown) {
-                const auto it = packets_.find(s);
-                if (it != packets_.end() &&
-                    it->second.stage == Stage::kPulled) {
-                  ready.push_back(s);
-                }
-              }
+              std::vector<ibc::Sequence> ready =
+                  in_stage(unknown, Stage::kPulled);
               if (ready.empty()) {
                 done();
                 return;
               }
-              build_and_send_recv(std::move(ready), std::move(done));
+              build_and_send(recv_leg_, std::move(ready), std::move(done));
             });
       });
 }
 
 // --- Startup ack re-scan ----------------------------------------------------------
 
-void Relayer::run_ack_scan(ClearOp op, std::function<void()> done) {
+void Relayer::run_ack_scan(Op op, std::function<void()> done) {
   // Packets whose recv committed before the crash left a
   // write_acknowledgement event on the destination but no ack on the
   // source — and a restarted relayer has no in-memory PacketState for them,
@@ -1468,7 +1262,7 @@ void Relayer::run_ack_scan(ClearOp op, std::function<void()> done) {
   // the ack. Walk the window once and restore them to kRecvDone with their
   // decoded ack, then drive the acks.
   b_.server->query_packet_events_range(
-      config_.machine, op.scan_from, op.scan_to, "write_acknowledgement",
+      config_.machine, op.from, op.to, "write_acknowledgement",
       /*seq_begin=*/1, /*seq_end=*/std::numeric_limits<std::uint64_t>::max(),
       [this, done = std::move(done)](
           util::Result<rpc::TxSearchPage> res) mutable {
@@ -1481,41 +1275,38 @@ void Relayer::run_ack_scan(ClearOp op, std::function<void()> done) {
           return;
         }
         std::vector<ibc::Sequence> ready;
-        for (const rpc::TxResponse& tx : res.value().txs) {
-          for (const chain::Event& ev : tx.result().events) {
-            if (ev.type != "write_acknowledgement") continue;
-            auto pkt = ibc::packet_from_event(ev);
-            if (!pkt || pkt->source_channel != path_.channel_a) continue;
-            const ibc::Sequence seq = pkt->sequence;
-            // An unowned, unseen packet is a peer's to acknowledge.
-            if (!packets_.contains(seq) && !adopts(seq, last_seen_a_height_)) {
-              continue;
-            }
-            PacketState& st = packets_[seq];  // inserts when unseen
-            if (st.stage == Stage::kAckInFlight || st.stage == Stage::kDone ||
-                st.stage == Stage::kTimedOut ||
-                st.stage == Stage::kAbandoned || st.ack.has_value()) {
-              continue;
-            }
-            ibc::Acknowledgement ack;
-            if (!ibc::Acknowledgement::decode(
-                    util::to_bytes(ev.attribute("packet_ack")), ack)) {
-              ack_decode_failures_ctr_->add();
-              continue;
-            }
-            st.packet = std::move(*pkt);
-            st.ack = std::move(ack);
-            st.stage = Stage::kRecvDone;
-            st.dst_height = tx.height;
-            ready.push_back(seq);
-          }
-        }
+        for_each_packet_event(
+            res.value(), "write_acknowledgement", path_.channel_a,
+            [&](const chain::Event& ev, ibc::Packet& pkt, chain::Height) {
+              const ibc::Sequence seq = pkt.sequence;
+              // An unowned, unseen packet is a peer's to acknowledge.
+              if (!packets_.contains(seq) &&
+                  !adopts(seq, last_seen_a_height_)) {
+                return;
+              }
+              PacketState& st = packets_[seq];  // inserts when unseen
+              if (st.stage == Stage::kAckInFlight ||
+                  st.stage == Stage::kDone || st.stage == Stage::kTimedOut ||
+                  st.stage == Stage::kAbandoned || st.ack.has_value()) {
+                return;
+              }
+              ibc::Acknowledgement ack;
+              if (!ibc::Acknowledgement::decode(
+                      util::to_bytes(ev.attribute("packet_ack")), ack)) {
+                ack_decode_failures_ctr_->add();
+                return;
+              }
+              st.packet = std::move(pkt);
+              st.ack = std::move(ack);
+              st.stage = Stage::kRecvDone;
+              ready.push_back(seq);
+            });
         if (ready.empty()) {
           done();
           return;
         }
         std::sort(ready.begin(), ready.end());
-        build_and_send_ack(std::move(ready), std::move(done));
+        build_and_send(ack_leg_, std::move(ready), std::move(done));
       });
 }
 

@@ -53,12 +53,6 @@ struct PathConfig {
 
 struct RelayerConfig {
   net::MachineId machine = 0;
-  /// Hermes bundles at most 100 messages per transaction (§III-D).
-  std::size_t max_msgs_per_tx = 100;
-  /// Packet-event queries are chunked by sequence ranges of this size.
-  std::size_t event_query_chunk = 50;
-  /// CPU time to assemble one IBC message (proof decoding, encoding).
-  sim::Duration build_cpu_per_msg = sim::micros(1'500);
   /// Gas headroom multiplier over the estimated message gas.
   double gas_headroom = 1.15;
   double gas_price = 0.01;
@@ -82,18 +76,11 @@ struct RelayerConfig {
   /// Fig. 12 pull times were measured with them — this is a mitigation
   /// knob (exercised with the cache ablation), not a faithful behaviour.
   bool skip_satisfied_chunks = false;
-  /// Rebuild-and-resubmit retries per packet per direction after a
-  /// "redundant packet" batch failure (Hermes retries a failed batch once,
-  /// §IV-A).
-  int max_packet_retries = 1;
   /// Non-redundant submit failures (and malformed-ack re-pulls) tolerated
   /// per packet per direction before the relayer gives up on it; abandoned
   /// packets surface in Stats::abandoned_packets instead of looping through
   /// clearing forever.
   int max_submit_failures = 3;
-  /// Delay before a bounded redundant-packet retry op re-enters its lane.
-  /// 0 keeps the Hermes-faithful immediate re-enqueue.
-  sim::Duration retry_backoff = 0;
   /// Delay before re-pulling ack data after a malformed packet_ack event
   /// (decode failure); the fresh query usually returns an intact payload.
   sim::Duration ack_repull_backoff = sim::seconds(5);
@@ -102,13 +89,10 @@ struct RelayerConfig {
   /// table is in-memory only, so a restarted instance has lost every
   /// in-flight packet; with this on, start() scans the source chain's
   /// outstanding commitments (a clear pass) and the destination chain's
-  /// recent write_acknowledgement events (bounded by
-  /// `startup_rescan_depth` blocks) to rebuild it. Off by default: a
-  /// first start has nothing to recover and the extra queries would shift
-  /// every seeded timeline.
+  /// recent write_acknowledgement events (the last 1000 blocks) to rebuild
+  /// it. Off by default: a first start has nothing to recover and the
+  /// extra queries would shift every seeded timeline.
   bool startup_rescan = false;
-  /// How many destination blocks the startup ack re-scan walks back.
-  chain::Height startup_rescan_depth = 1'000;
   /// Fleet coordination (mitigation for Fig. 9's redundant-work loss):
   /// partitions packet ownership across relayer instances. kNone by default
   /// — ICS-18 relayers race, exactly as the paper measured.
@@ -214,7 +198,6 @@ class Relayer {
   struct PacketState {
     Stage stage = Stage::kExtracted;
     chain::Height src_height = 0;   // block containing the send_packet event
-    chain::Height dst_height = 0;   // block containing the recv event
     std::optional<ibc::Packet> packet;
     std::optional<ibc::Acknowledgement> ack;
     // Bounded-retry bookkeeping (per direction; see RelayerConfig caps).
@@ -226,25 +209,9 @@ class Relayer {
     bool ack_tx_failed = false;        // ack broadcast failed; clear redrives
   };
 
-  // Operations executed sequentially by the path worker.
-  struct RelayBatchOp {
-    chain::Height src_height = 0;
-    std::vector<ibc::Sequence> seqs;
-  };
-  struct AckBatchOp {
-    chain::Height dst_height = 0;
-    std::vector<ibc::Sequence> seqs;
-  };
-  struct TimeoutBatchOp {
-    std::vector<ibc::Sequence> seqs;
-  };
-  struct ClearOp {
-    chain::Height scan_from = 0;
-    chain::Height scan_to = 0;
-  };
-  struct RetryOp {
-    std::vector<ibc::Sequence> seqs;
-  };
+  // Operations executed sequentially by the path worker. kRelay and kAck
+  // pull their `seqs` at block `from`; kClear and kAckScan walk the block
+  // window [from, to]; kTimeout, kRetryRecv and kRetryAck act on `seqs`.
   struct Op {
     enum class Kind {
       kRelay,
@@ -255,12 +222,41 @@ class Relayer {
       kRetryAck,
       kAckScan,  // startup re-scan of dst write_acknowledgement events
     } kind;
-    RelayBatchOp relay;
-    AckBatchOp ack;
-    TimeoutBatchOp timeout;
-    ClearOp clear;
-    RetryOp retry;
-    ClearOp ack_scan;  // height window for kAckScan
+    chain::Height from = 0;
+    chain::Height to = 0;
+    std::vector<ibc::Sequence> seqs;
+  };
+
+  // A packet message built for submission, with what its tx needs of it.
+  struct LegMsg {
+    ibc::Sequence seq = 0;
+    chain::Height proof_height = 0;
+    std::uint64_t extra_gas = 0;  // destination work beyond the handler
+    chain::Msg msg;
+  };
+
+  // What the recv and ack legs differ in. Each proves packet state on its
+  // source chain, updates the destination's client of that chain to every
+  // proof height, and submits the packet messages behind those updates.
+  struct Leg {
+    rpc::Server* src;      // proves packet state and serves the headers
+    Wallet* wallet;        // submits on the destination
+    ibc::ClientId client;  // the destination's client of `src`
+    // Store key (on `proof_channel`) whose existence the message proves.
+    std::string (*proof_key)(const ibc::PortId&, const ibc::ChannelId&,
+                             ibc::Sequence);
+    ibc::ChannelId proof_channel;
+    bool needs_ack;        // the message carries the decoded ack
+    chain::Msg (*build)(const PacketState&,
+                        const rpc::Server::AbciQueryResult&);
+    Stage ready;           // packets are built in this stage...
+    Stage in_flight;       // ...and move to this one at broadcast
+    Step build_step;
+    Step broadcast_step;
+    std::uint64_t packet_gas;
+    bool forward_gas;      // budget onward transfers of forward packets
+    void (Relayer::*on_outcome)(const std::vector<ibc::Sequence>&,
+                                const Wallet::SubmitOutcome&);
   };
 
   // Frame handling (Supervisor).
@@ -274,15 +270,15 @@ class Relayer {
   // blocks are handled in order, as the paper observes.
   void enqueue(Op op);
   void pump(int lane);
-  void run_relay_batch(RelayBatchOp op, std::function<void()> done);
-  void run_ack_batch(AckBatchOp op, std::function<void()> done);
-  void run_timeout_batch(TimeoutBatchOp op, std::function<void()> done);
-  void run_clear(ClearOp op, std::function<void()> done);
+  void run_relay_batch(Op op, std::function<void()> done);
+  void run_ack_batch(Op op, std::function<void()> done);
+  void run_timeout_batch(Op op, std::function<void()> done);
+  void run_clear(Op op, std::function<void()> done);
   /// Startup re-scan (RelayerConfig::startup_rescan): walks the destination
   /// chain's write_acknowledgement events over a height window and restores
   /// packets that were delivered but not yet acknowledged when the previous
   /// instance crashed, then drives their acks.
-  void run_ack_scan(ClearOp op, std::function<void()> done);
+  void run_ack_scan(Op op, std::function<void()> done);
 
   // Relay-batch stages.
   void pull_chunks(rpc::Server* server, chain::Height height,
@@ -301,21 +297,30 @@ class Relayer {
   /// packet in Stage::kAbandoned so no lane touches it again.
   void abandon_packet(ibc::Sequence seq, PacketState& ps, const char* why);
 
-  /// Re-enqueues a retry op, after RelayerConfig::retry_backoff when set.
-  void enqueue_retry(Op op);
-  void build_and_send_recv(std::vector<ibc::Sequence> seqs,
-                           std::function<void()> done);
-  void build_and_send_ack(std::vector<ibc::Sequence> seqs,
-                          std::function<void()> done);
+  /// Runs one relay leg over `seqs`: a proof query and the build CPU per
+  /// packet, then txs of at most 100 packet messages, each behind one
+  /// MsgUpdateClient per distinct proof height.
+  void build_and_send(const Leg& leg, std::vector<ibc::Sequence> seqs,
+                      std::function<void()> done);
+  void on_recv_outcome(const std::vector<ibc::Sequence>& tx_seqs,
+                       const Wallet::SubmitOutcome& out);
+  void on_ack_outcome(const std::vector<ibc::Sequence>& tx_seqs,
+                      const Wallet::SubmitOutcome& out);
 
-  /// Fetches a header from `server` and assembles a MsgUpdateClient for
-  /// `client_id`.
-  void fetch_update(rpc::Server* server, const ibc::ClientId& client_id,
-                    chain::Height height,
-                    std::function<void(std::optional<chain::Msg>)> cb);
+  /// Fetches one MsgUpdateClient per height, in order, from `server`'s
+  /// headers and hands them to `cb` (failed fetches are left out).
+  void fetch_updates(rpc::Server* server, const ibc::ClientId& client,
+                     std::vector<chain::Height> heights,
+                     std::function<void(std::vector<chain::Msg>)> cb);
 
   void record(Step step, ibc::Sequence seq);
   void check_timeouts();
+  /// The sequences of `seqs` whose tracked packet sits in `stage`.
+  std::vector<ibc::Sequence> in_stage(const std::vector<ibc::Sequence>& seqs,
+                                      Stage stage) const;
+  /// Enqueues a clear pass over [1, height] once `clear_interval` source
+  /// blocks have passed since the last one.
+  void maybe_enqueue_clear(chain::Height height);
 
   /// Should this instance take on an unseen packet first observed at
   /// `height`? Checks the routing policy (fee_ok_), then coordination
@@ -369,6 +374,8 @@ class Relayer {
   QueryCache cache_;
   std::unique_ptr<Wallet> wallet_a_;
   std::unique_ptr<Wallet> wallet_b_;
+  Leg recv_leg_;  // proves on A, submits to B
+  Leg ack_leg_;   // proves on B, submits to A
 
   std::map<ibc::Sequence, PacketState> packets_;
   std::deque<Op> ops_[2];        // lane 0: relay/clear; lane 1: ack/timeout

@@ -67,7 +67,12 @@ void Server::roundtrip(net::MachineId client, std::uint64_t request_bytes,
     // Service cost is computed when service *starts*... more precisely when
     // the request is enqueued; for ledger-reading queries the difference is
     // immaterial because reads happen in `deliver` at completion time.
-    const sim::Duration st = jittered(service_cost());
+    // Pricing reads the ledger too (the packet-event match scan, tx_search
+    // page sizing), so it is RPC host work like `deliver`.
+    const sim::Duration st = jittered([&] {
+      telemetry::ProfileScope prof(telemetry::ProfileKey::kRpcService);
+      return service_cost();
+    }());
     const bool accepted = queue_.enqueue(
         st, [this, client, response_bytes_hint, delivered,
              deliver = std::move(deliver)]() mutable {

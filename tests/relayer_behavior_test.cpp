@@ -1,10 +1,14 @@
 // Focused relayer behaviour tests: event filtering, the two concurrent work
 // lanes, sticky vs non-sticky WebSocket failure, clearing of stalled
-// packets, stop() semantics, and fee accounting.
+// packets, stop() semantics, fee accounting, and the shape of each relay
+// leg's transactions.
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "ibc/host.hpp"
+#include "ibc/msgs.hpp"
 #include "xcc/analysis.hpp"
 #include "xcc/handshake.hpp"
 #include "xcc/workload.hpp"
@@ -373,6 +377,81 @@ TEST_F(RelayerFixture, IgnoresPacketsFromOtherChannels) {
   EXPECT_EQ(r.stats().packets_completed, 0u);
   EXPECT_TRUE(steps.records().empty());
   r.stop();
+}
+
+// Shape of the committed txs that carry `url` packet messages on `ledger`:
+// how many there are, how many such messages they hold in all and at most.
+// Each must lead with its MsgUpdateClients, one per distinct proof height.
+template <typename PacketMsg>
+struct LegTxs {
+  std::size_t txs = 0;
+  std::size_t msgs = 0;
+  std::size_t max_msgs = 0;
+
+  LegTxs(const chain::Ledger& ledger, const std::string& url) {
+    for (chain::Height h = 1; h <= ledger.height(); ++h) {
+      for (const chain::Tx& tx : ledger.block_at(h)->txs) {
+        std::size_t updates = 0;
+        std::size_t packets = 0;
+        std::set<std::int64_t> proof_heights;
+        for (const chain::Msg& m : tx.msgs) {
+          if (m.type_url == ibc::kMsgUpdateClientUrl) {
+            EXPECT_EQ(packets, 0u) << "client update after a packet message";
+            ++updates;
+          } else if (m.type_url == url) {
+            PacketMsg msg;
+            EXPECT_TRUE(PacketMsg::from_msg(m, msg)) << url;
+            proof_heights.insert(msg.proof_height);
+            ++packets;
+          }
+        }
+        if (packets == 0) continue;
+        EXPECT_EQ(updates, proof_heights.size()) << url << " at height " << h;
+        ++txs;
+        msgs += packets;
+        max_msgs = std::max(max_msgs, packets);
+      }
+    }
+  }
+};
+
+TEST_F(RelayerFixture, EachLegKeepsItsTransactionShape) {
+  boot();
+  // A batch that expires before any relayer runs...
+  xcc::WorkloadConfig stale;
+  stale.total_transfers = 40;
+  stale.timeout_height_offset = 2;
+  xcc::TransferWorkload expiring(*tb, channel, stale, nullptr);
+  expiring.start();
+  tb->run_until(tb->scheduler().now() + sim::seconds(30));
+
+  // ...which a clearing relayer times out while it relays a live burst.
+  relayer::RelayerConfig rc;
+  rc.clear_interval = 2;
+  auto r = make_relayer(rc);
+  ASSERT_EQ(run_transfers(250, *r), 250u);
+  const sim::TimePoint limit = tb->scheduler().now() + sim::seconds(600);
+  while (tb->scheduler().now() < limit && r->stats().packets_timed_out < 40) {
+    if (!tb->scheduler().step()) break;
+  }
+  ASSERT_EQ(r->stats().packets_timed_out, 40u);
+  r->stop();
+
+  // The burst lands in one block, so the recv and ack legs fill 100-message
+  // txs before their remainder.
+  const LegTxs<ibc::MsgRecvPacket> recv(*tb->chain_b().ledger,
+                                        ibc::kMsgRecvPacketUrl);
+  EXPECT_GE(recv.msgs, 250u);
+  EXPECT_EQ(recv.max_msgs, 100u);
+  const LegTxs<ibc::MsgAcknowledgementMsg> ack(*tb->chain_a().ledger,
+                                               ibc::kMsgAcknowledgementUrl);
+  EXPECT_EQ(ack.msgs, 250u);
+  EXPECT_EQ(ack.max_msgs, 100u);
+  // The timeout leg sends the whole expired batch as one tx.
+  const LegTxs<ibc::MsgTimeout> timeout(*tb->chain_a().ledger,
+                                        ibc::kMsgTimeoutUrl);
+  EXPECT_EQ(timeout.txs, 1u);
+  EXPECT_EQ(timeout.msgs, 40u);
 }
 
 }  // namespace
